@@ -10,9 +10,10 @@ Triples are indexed with x varying fastest (index k encodes the triple
 (k mod q, (k div q) mod q, k div q^2)), and the deterministic witness is
 always the first violating pair in (i, j) order.
 
-Three arithmetic strategies, picked per field: prime fields use modular
-integer numpy ops, characteristic 2 uses xor for addition plus log/exp
-gathers for products, and other prime powers gather from flat tables.
+Arithmetic is the field context's vectorized v_add/v_sub/v_mul, which
+pick one of three strategies per field: prime fields use modular integer
+numpy ops, characteristic 2 uses xor for addition plus log/exp gathers
+for products, and other prime powers gather from flat tables.
 Row blocks can be fanned out over a thread pool; the merge keeps block
 order, so results do not depend on the worker count.
 """
@@ -25,8 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import Unsupported
-from .ff import TABLE_LIMIT, FieldCtx
+from .ff import FieldCtx
 
 BLOCK_ELEMS = 1 << 21
 
@@ -64,48 +64,6 @@ def eval_on_grid(poly, ctx: FieldCtx, xs, ys, zs):
     return out
 
 
-class _Ops:
-    """Field-strategy shims used inside the pair kernel."""
-
-    def __init__(self, ctx: FieldCtx):
-        self.ctx = ctx
-        q = ctx.q
-        if ctx.h == 1:
-            self.kind = "prime"
-        elif ctx.p == 2:
-            self.kind = "char2"
-        else:
-            self.kind = "table"
-        if self.kind != "prime":
-            if q > TABLE_LIMIT:
-                raise Unsupported(f"pair scans need element tables, q={q} too large")
-            t = ctx.np_tables()
-            self.logt = t["logt"]
-            self.expx = t["expx"]
-            if self.kind == "table":
-                self.sub_flat = t["sub_flat"]
-                self.add_flat = t["add_flat"]
-
-    def sub(self, a, b):
-        if self.kind == "prime":
-            return (a - b) % self.ctx.q
-        if self.kind == "char2":
-            return np.bitwise_xor(a, b)
-        return self.sub_flat[a * self.ctx.q + b]
-
-    def mul(self, a, b):
-        if self.kind == "prime":
-            return (a * b) % self.ctx.q
-        return self.expx[self.logt[a] + self.logt[b]]
-
-    def add(self, a, b):
-        if self.kind == "prime":
-            return (a + b) % self.ctx.q
-        if self.kind == "char2":
-            return np.bitwise_xor(a, b)
-        return self.add_flat[a * self.ctx.q + b]
-
-
 class PairScanResult:
     __slots__ = ("zero_pairs", "first_zero", "pairs_checked", "elapsed")
 
@@ -126,7 +84,6 @@ def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> Pair
     t0 = time.perf_counter()
     xs, ys, zs, f1, f2, f3 = tables
     n = len(xs)
-    ops = _Ops(ctx)
     rows_per_block = max(1, BLOCK_ELEMS // max(1, n))
     starts = list(range(0, n, rows_per_block))
     threads = max(1, int(threads or 1))
@@ -137,9 +94,10 @@ def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> Pair
             return 0, 0, None
         I = np.arange(s, e, dtype=np.int64)[:, None]
         cols = np.arange(s + 1, n, dtype=np.int64)[None, :]
-        acc = ops.mul(ops.sub(xs[I], xs[cols]), ops.sub(f3[cols], f3[I]))
-        acc = ops.add(acc, ops.mul(ops.sub(ys[I], ys[cols]), ops.sub(f2[cols], f2[I])))
-        acc = ops.add(acc, ops.mul(ops.sub(zs[I], zs[cols]), ops.sub(f1[cols], f1[I])))
+        sub, mul, add = ctx.v_sub, ctx.v_mul, ctx.v_add
+        acc = mul(sub(xs[I], xs[cols]), sub(f3[cols], f3[I]))
+        acc = add(acc, mul(sub(ys[I], ys[cols]), sub(f2[cols], f2[I])))
+        acc = add(acc, mul(sub(zs[I], zs[cols]), sub(f1[cols], f1[I])))
         zero = (acc == 0)
         zero &= cols > I
         pairs = sum(n - 1 - i for i in range(s, e))

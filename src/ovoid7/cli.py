@@ -56,6 +56,13 @@ SCHEMAS = {
 }
 
 
+def _default_threads() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _manifest(args, ctx, choices: Optional[dict] = None) -> dict:
     return {
         "command": " ".join(args._argv),
@@ -201,8 +208,6 @@ def cmd_verify(args) -> int:
     spec = _load_spec(args.spec, ctx)
     rep = verify_ovoid(spec, threads=args.threads)
     report = rep.to_json_dict()
-    if args.no_timing:
-        report["elapsed_ms"] = 0.0
     report["manifest"] = _manifest(args, ctx)
     _emit(args, report, t0)
     return EXIT_OK if rep.is_ovoid else EXIT_FAIL
@@ -245,8 +250,6 @@ def cmd_hypersurface(args) -> int:
     if args.action == "scan":
         rep = hyp.affine_point_scan(F, threads=args.threads)
         report = rep.to_json_dict()
-        if args.no_timing:
-            report["elapsed_ms"] = 0.0
         report["manifest"] = _manifest(args, ctx)
         _emit(args, report, t0)
         return EXIT_OK if rep.off_diagonal == 0 else EXIT_FAIL
@@ -311,12 +314,9 @@ def cmd_search(args) -> int:
     elif args.restriction:
         restriction = args.restriction
     cfg = srch.SearchConfig(ctx, max_degree=args.max_degree,
-                            restriction=restriction, budget=args.budget,
-                            threads=args.threads)
+                            restriction=restriction, budget=args.budget)
     res = srch.exhaustive_triple_search(cfg)
     report = res.to_json_dict(max_listed=args.max_listed)
-    if args.no_timing:
-        report["elapsed_ms"] = 0.0
     report["manifest"] = _manifest(args, ctx, {"max_degree": args.max_degree,
                                                "restriction": restriction,
                                                "budget": args.budget})
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--q", required=True, help='field, "p^h" or a prime power')
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--threads", type=int, default=_default_threads(),
                        help="workers for pair scans; results are identical for any value")
         p.add_argument("--out", help="also write the JSON report to this file")
         p.add_argument("--no-timing", action="store_true",

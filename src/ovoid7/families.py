@@ -37,12 +37,8 @@ class TowerBasis:
         if self.alpha.ctx is not self.ext or self.beta.ctx is not self.ext:
             raise Unsupported("basis elements must belong to the given extension")
         rows = [self.ext.embed(1), self.alpha.coords, self.beta.coords]
-        if rank(_row_field(self.ext), rows) != 3:
+        if rank(self.ext.base, rows) != 3:
             raise DependentBasis("{1, alpha, beta} are linearly dependent")
-
-
-def _row_field(ext: ExtCtx) -> FieldCtx:
-    return ext.base
 
 
 def default_tower_basis(ctx: FieldCtx) -> TowerBasis:

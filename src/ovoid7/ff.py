@@ -5,6 +5,9 @@ power-basis digits (d_0, ..., d_{h-1}) is sum(d_i * p^i).  Elements of an
 extension F_{q^n} (n in {1,2,3,4}) are length-n tuples of such integers,
 or equivalently the packed integer sum(c_i * q^i).
 
+Both are quotient rings K[t]/(m), F_p[t]/(m) and F_q[t]/(m), and share one
+polynomial core over a coefficient context K.
+
 Contexts are immutable after construction and all element operations are
 pure, so contexts can be shared freely across threads.
 """
@@ -12,6 +15,7 @@ pure, so contexts can be shared freely across threads.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,101 +91,177 @@ def factorize(n: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p (coefficient lists, low degree first)
+# quotient-ring core
+#
+# F_{p^h} = F_p[t]/(m) and F_{q^n} = F_q[t]/(m) share every algorithm
+# below (Lidl & Niederreiter, *Finite Fields*, ch. 1-3).  Polynomials are
+# coefficient lists, low degree first, over a coefficient context K that
+# provides add/sub/neg/mul/inv on encodings and the order K.q: F_p is
+# make_field(p, 1), and an extension's coefficients live in its base
+# FieldCtx.  Elements of K[t]/(m) are length-n coordinate lists.
 
-def _ptrim(a):
+
+def _trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
 
 
-def _pmul(a, b, p):
+def _poly_mul(K, a, b):
+    """Dense product, untrimmed (length len(a) + len(b) - 1)."""
     if not a or not b:
         return []
+    add, mul = K.add, K.mul
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+                if bj:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
+    return out
 
 
-def _pmod(a, m, p):
-    a = list(a)
-    _ptrim(a)
-    dm = len(m) - 1
-    inv_lead = pow(m[-1], p - 2, p)
-    while len(a) - 1 >= dm and a:
-        shift = len(a) - 1 - dm
-        c = (a[-1] * inv_lead) % p
-        for i, mi in enumerate(m):
-            a[shift + i] = (a[shift + i] - c * mi) % p
-        _ptrim(a)
-    return a
+def _poly_divmod(K, a, b):
+    a = _trim(list(a))
+    b = _trim(list(b))
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    sub, mul = K.sub, K.mul
+    db = len(b) - 1
+    inv_lead = K.inv(b[-1])
+    quo = [0] * max(1, len(a) - db)
+    while a and len(a) - 1 >= db:
+        shift = len(a) - 1 - db
+        c = mul(a[-1], inv_lead)
+        quo[shift] = c
+        for i, bi in enumerate(b):
+            a[shift + i] = sub(a[shift + i], mul(c, bi))
+        _trim(a)
+    return _trim(quo), a
 
 
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    _ptrim(a)
-    _ptrim(b)
+def _poly_gcd(K, a, b):
+    a, b = _trim(list(a)), _trim(list(b))
     while b:
-        a, b = b, _pmod(a, b, p)
+        a, b = b, _poly_divmod(K, a, b)[1]
     return a
 
 
-def _ppow_x(e: int, m, p):
-    """x^e mod m over F_p by square and multiply."""
-    result = [1]
-    base = _pmod([0, 1], m, p)
+def _reduction_rows(K, m):
+    """Rows r_i with t^(n+i) = sum_k r_i[k] t^k modulo monic m, i < n-1."""
+    n = len(m) - 1
+    rows = []
+    row = [K.neg(c) for c in m[:n]]
+    for _ in range(n - 1):
+        rows.append(tuple(row))
+        carry = row[-1]
+        row = [0] + row[:-1]
+        row = [K.add(row[k], K.mul(carry, rows[0][k])) for k in range(n)]
+    return rows
+
+
+def _mul_reduce(K, red, a, b):
+    """Product of two coordinate vectors of K[t]/(m); red = _reduction_rows(K, m)."""
+    n = len(a)
+    prod = _poly_mul(K, a, b)
+    out = prod[:n]
+    add, mul = K.add, K.mul
+    for i, row in enumerate(red):
+        c = prod[n + i]
+        if c:
+            for k in range(n):
+                out[k] = add(out[k], mul(c, row[k]))
+    return out
+
+
+def _power(mul, one, a, e: int):
+    """a^e by square and multiply: element powers, x^e mod m, order tests."""
+    result = one
     while e:
         if e & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
+            result = mul(result, a)
         e >>= 1
+        if e:
+            a = mul(a, a)
     return result
 
 
-def poly_irreducible_fp(coeffs: Sequence[int], p: int) -> bool:
-    """Exact irreducibility test over F_p via gcd(x^{p^i} - x, f)."""
-    f = list(coeffs)
-    h = len(f) - 1
-    if h < 1 or f[-1] % p != 1:
+def _poly_inv_mod(K, a, m):
+    """Inverse of a modulo irreducible m by extended Euclid, as n coordinates."""
+    r0, r1 = list(m), _trim(list(a))
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        quo, r = _poly_divmod(K, r0, r1)
+        r0, r1 = r1, r
+        t = _poly_mul(K, quo, s1)
+        s0, s1 = s1, _trim([K.sub(x, y) for x, y in itertools.zip_longest(s0, t, fillvalue=0)])
+        if not r1:
+            raise ZeroDivisionError("element not invertible")
+    c = K.inv(r1[0])
+    out = [K.mul(c, x) for x in s1]
+    return out + [0] * (len(m) - 1 - len(out))
+
+
+def _poly_irreducible(K, f) -> bool:
+    """Ben-Or's test: monic f of degree n is irreducible over K iff
+    gcd(x^(q^i) - x, f) = 1 for every i <= n/2."""
+    f = list(f)
+    n = len(f) - 1
+    if n < 1 or f[-1] != 1:
         return False
-    if h == 1:
-        return True
-    if f[0] == 0:
-        return False
-    for i in range(1, h // 2 + 1):
-        g = _ppow_x(p ** i, f, p)
-        # g - x
-        gx = list(g) + [0] * max(0, 2 - len(g))
-        gx[1] = (gx[1] - 1) % p
-        if len(_pgcd(f, gx, p)) - 1 > 0:
+    mul = functools.partial(_mul_reduce, K, _reduction_rows(K, f))
+    one, x = [1] + [0] * (n - 1), [0, 1] + [0] * (n - 2)
+    g = x
+    for _ in range(n // 2):
+        g = _power(mul, one, g, K.q)
+        if len(_poly_gcd(K, f, [K.sub(c, d) for c, d in zip(g, x)])) > 1:
             return False
-    # x^{p^h} == x check (f divides x^{p^h} - x)
-    g = _ppow_x(p ** h, f, p)
-    gx = list(g) + [0] * max(0, 2 - len(g))
-    gx[1] = (gx[1] - 1) % p
-    _ptrim(gx)
-    return not gx
+    return True
 
 
-def _smallest_irreducible_fp(p: int, h: int) -> Tuple[int, ...]:
-    # candidates ordered low-degree-first: c0 most significant in the
-    # lexicographic comparison, so c_{h-1} is incremented fastest
-    idx = [1] + [0] * (h - 1)
-    while True:
-        cand = idx + [1]
-        if poly_irreducible_fp(cand, p):
-            return tuple(cand)
-        # increment with c_{h-1} fastest
-        for k in range(h - 1, -1, -1):
-            idx[k] += 1
-            if idx[k] < p:
-                break
-            idx[k] = 0
-        else:
-            raise RuntimeError("no irreducible polynomial found")  # unreachable
+def _smallest_irreducible(K, n: int) -> Tuple[int, ...]:
+    """Lexicographically smallest monic irreducible of degree n over K,
+    comparing (c_0, ..., c_{n-1}) with c_0 most significant."""
+    for head in itertools.product(range(1, K.q), *[range(K.q)] * (n - 1)):
+        if _poly_irreducible(K, head + (1,)):
+            return head + (1,)
+    raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
+
+
+def _primitive_tables(K, red, n: int) -> dict:
+    """log/exp tables of K[t]/(m) over packed encodings sum(c_i * q^i).
+
+    The generator is the smallest packed encoding >= 2 of full order N - 1
+    (1 when N = 2).  logt maps 0 to 2N, so a product involving 0 indexes
+    past the exponent range; expx repeats exp to cover sums of two logs.
+    """
+    q, N = K.q, K.q ** n
+    mul = functools.partial(_mul_reduce, K, red)
+    one = [1] + [0] * (n - 1)
+    weights = [q ** i for i in range(n)]
+    primes = factorize(N - 1)
+    gen = one
+    for e in range(2, N):
+        cand = [(e // w) % q for w in weights]
+        if all(_power(mul, one, cand, (N - 1) // r) != one for r in primes):
+            gen = cand
+            break
+    exp = [0] * (N - 1)
+    acc = one
+    for i in range(N - 1):
+        exp[i] = sum(c * w for c, w in zip(acc, weights))
+        acc = mul(acc, gen)
+    exp = np.array(exp, dtype=np.int64)
+    logt = np.full(N, 2 * N, dtype=np.int64)
+    logt[exp] = np.arange(N - 1, dtype=np.int64)
+    expx = np.zeros(4 * N + 4, dtype=np.int64)
+    expx[: 2 * (N - 1) + 1] = exp[np.arange(2 * (N - 1) + 1) % (N - 1)]
+    return {"logt": logt, "expx": expx, "order": N - 1}
+
+
+def poly_irreducible_fp(coeffs: Sequence[int], p: int) -> bool:
+    """Exact irreducibility test over F_p (Ben-Or)."""
+    return _poly_irreducible(make_field(p, 1), [int(c) % p for c in coeffs])
 
 
 class Fe:
@@ -255,26 +335,19 @@ class FieldCtx:
         self.p = p
         self.h = h
         self.q = q
+        # coefficient context of the quotient-ring core: F_p itself
+        self._fp = self if h == 1 else make_field(p, 1)
         if modulus is None:
-            modulus = DEFAULT_MODULI.get((p, h)) or _smallest_irreducible_fp(p, h)
+            modulus = DEFAULT_MODULI.get((p, h)) or _smallest_irreducible(self._fp, h)
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != h + 1 or modulus[-1] != 1:
             raise Unsupported("modulus must be monic of degree h")
-        if not poly_irreducible_fp(modulus, p):
+        if not _poly_irreducible(self._fp, modulus):
             raise Unsupported("modulus is reducible over the prime field")
         self.modulus = modulus
-        # reduction rows: t^(h+i) expressed in the power basis, i < h-1
-        self._red = []
-        if h > 1:
-            row = [(-c) % p for c in modulus[:h]]
-            for _ in range(h - 1):
-                self._red.append(tuple(row))
-                carry = row[-1]
-                row = [0] + row[:-1]
-                t = self._red[0]
-                row = [(row[i] + carry * t[i]) % p for i in range(h)]
-        self._scalar_log = None
-        self._scalar_exp = None
+        self._red = _reduction_rows(self._fp, modulus)
+        self._log_exp = None
+        self._scalar = None
         self._np = {}
 
     # -- encoding ----------------------------------------------------------
@@ -355,63 +428,27 @@ class FieldCtx:
             return 0
         if self.h == 1:
             return (a * b) % self.p
-        log, exp = self._scalar_tables()
-        if log is not None:
-            return exp[(log[a] + log[b]) % (self.q - 1)]
-        return self._mul_poly(a, b)
-
-    def _mul_poly(self, a: int, b: int) -> int:
-        p, h = self.p, self.h
-        da = self.digits(a)
-        db = self.digits(b)
-        prod = [0] * (2 * h - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                for j, bj in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-        out = list(prod[:h])
-        for i in range(h, 2 * h - 1):
-            c = prod[i]
-            if c:
-                row = self._red[i - h]
-                for k in range(h):
-                    out[k] = (out[k] + c * row[k]) % p
-        return self.from_digits(out)
+        if self.q <= TABLE_LIMIT:
+            log, exp = self._scalar or self._scalar_tables()
+            return exp[log[a] + log[b]]
+        return self.from_digits(_mul_reduce(self._fp, self._red, self.digits(a), self.digits(b)))
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse via extended Euclid on digit polynomials."""
+        """Multiplicative inverse: Fermat over F_p, log tables up to
+        TABLE_LIMIT, extended Euclid on digit polynomials above."""
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        p = self.p
         if self.h == 1:
-            return pow(a, p - 2, p)
-        r0, r1 = list(self.modulus), list(self.digits(a))
-        _ptrim(r1)
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            q_, r = _pdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q_, s1, p), p)
-            if not r1:
-                raise ZeroDivisionError("element not invertible")
-        c = r1[0]
-        cinv = pow(c, p - 2, p)
-        out = [(cinv * x) % p for x in s1]
-        out = _pmod(out, list(self.modulus), p)
-        out += [0] * (self.h - len(out))
-        return self.from_digits(out)
+            return pow(a, self.p - 2, self.p)
+        if self.q <= TABLE_LIMIT:
+            log, exp = self._scalar or self._scalar_tables()
+            return exp[self.q - 1 - log[a]]
+        return self.from_digits(_poly_inv_mod(self._fp, self.digits(a), self.modulus))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result = 1 if self.q > 1 else 0
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return _power(self.mul, 1, a, e)
 
     def is_square(self, a: int) -> bool:
         if self.p == 2 or a == 0:
@@ -420,44 +457,16 @@ class FieldCtx:
 
     # -- table machinery ----------------------------------------------------
 
+    def _log_exp_tables(self) -> dict:
+        if self._log_exp is None:
+            self._log_exp = _primitive_tables(self._fp, self._red, self.h)
+        return self._log_exp
+
     def _scalar_tables(self):
-        if self.q > TABLE_LIMIT:
-            return None, None
-        if self._scalar_log is None:
-            g = self._find_generator()
-            exp = [1] * (self.q - 1)
-            log = [0] * self.q
-            acc = 1
-            for i in range(self.q - 1):
-                exp[i] = acc
-                log[acc] = i
-                acc = self._mul_poly(acc, g) if self.h > 1 else (acc * g) % self.p
-            self._scalar_exp = exp
-            self._scalar_log = log
-        return self._scalar_log, self._scalar_exp
-
-    def _find_generator(self) -> int:
-        n = self.q - 1
-        fac = factorize(n)
-        mul = self._mul_poly if self.h > 1 else lambda a, b: (a * b) % self.p
-
-        def order_ok(g):
-            for prime in fac:
-                e = n // prime
-                acc, base = 1, g
-                while e:
-                    if e & 1:
-                        acc = mul(acc, base)
-                    base = mul(base, base)
-                    e >>= 1
-                if acc == 1:
-                    return False
-            return True
-
-        for g in range(2, self.q):
-            if order_ok(g):
-                return g
-        return 1  # q == 2
+        """Python-int log/exp lists for scalar products of nonzero elements."""
+        t = self._log_exp_tables()
+        self._scalar = t["logt"].tolist(), t["expx"][: 2 * self.q].tolist()
+        return self._scalar
 
     def np_tables(self) -> dict:
         """Numpy lookup tables for vectorized arithmetic (q <= TABLE_LIMIT)."""
@@ -466,14 +475,7 @@ class FieldCtx:
         if self._np:
             return self._np
         q = self.q
-        log, exp = self._scalar_tables()
-        zbig = 2 * q
-        logt = np.full(q, zbig, dtype=np.int64)
-        logt[1:] = [log[a] for a in range(1, q)] if q > 1 else []
-        expx = np.zeros(4 * q + 4, dtype=np.int64)
-        for i in range(2 * (q - 1) + 1):
-            expx[i] = exp[i % (q - 1)] if q > 1 else 0
-        tab = {"logt": logt, "expx": expx, "order": q - 1}
+        tab = dict(self._log_exp_tables())
         if self.p != 2 and self.h > 1:
             ar = np.arange(q)
             dig_a = [(ar // self.p ** i) % self.p for i in range(self.h)]
@@ -487,11 +489,9 @@ class FieldCtx:
             for i in range(self.h):
                 neg += ((self.p - dig_a[i]) % self.p) * self.p ** i
             tab["neg"] = neg
-            sub = add[:, neg].copy() if q <= TABLE_LIMIT else None
-            tab["sub_flat"] = sub.reshape(-1)
+            tab["sub_flat"] = add[:, neg].reshape(-1)
         inv_arr = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            inv_arr[a] = exp[(q - 1 - log[a]) % (q - 1)] if q > 2 else a
+        inv_arr[1:] = tab["expx"][(q - 1 - tab["logt"][1:]) % (q - 1)]
         tab["inv"] = inv_arr
         self._np = tab
         return tab
@@ -524,16 +524,8 @@ class FieldCtx:
         if e == 0:
             return np.ones_like(a)
         if self.h == 1:
-            # pow() on arrays stays in int64 range via repeated squaring
-            out = np.ones_like(a)
-            base = a % self.p
-            ee = e
-            while ee:
-                if ee & 1:
-                    out = (out * base) % self.p
-                base = (base * base) % self.p
-                ee >>= 1
-            return out
+            # repeated squaring keeps every product in int64 range
+            return _power(self.v_mul, np.ones_like(a), a % self.p, e)
         t = self.np_tables()
         lg = t["logt"][a]
         zero = lg >= 2 * self.q
@@ -543,36 +535,6 @@ class FieldCtx:
 
     def __repr__(self):
         return f"FieldCtx(GF({self.p}^{self.h}))"
-
-
-def _pdivmod(a, b, p):
-    a = list(a)
-    _ptrim(a)
-    b = list(b)
-    _ptrim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    q_ = [0] * max(1, len(a) - db)
-    while a and len(a) - 1 >= db:
-        shift = len(a) - 1 - db
-        c = (a[-1] * inv_lead) % p
-        q_[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _ptrim(a)
-    return _ptrim(q_), a
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        x = a[i] if i < len(a) else 0
-        y = b[i] if i < len(b) else 0
-        out[i] = (x - y) % p
-    return _ptrim(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -676,136 +638,18 @@ class ExtCtx:
         self.q = base.q
         self.order = base.q ** n
         if modulus is None:
-            modulus = self._smallest_irreducible()
+            modulus = _smallest_irreducible(base, n)
         modulus = tuple(int(c) for c in modulus)
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise Unsupported("extension modulus must be monic of degree n")
-        if not self._irreducible(modulus):
+        if not _poly_irreducible(base, modulus):
             raise Unsupported("extension modulus is reducible")
         self.modulus = modulus
-        # reduction rows for t^(n+i)
-        self._red = []
-        if n > 1:
-            row = [base.neg(c) for c in modulus[:n]]
-            for _ in range(n - 1):
-                self._red.append(tuple(row))
-                carry = row[-1]
-                row = [0] + row[:-1]
-                t0 = self._red[0]
-                row = [base.add(row[k], base.mul(carry, t0[k])) for k in range(n)]
+        self._red = _reduction_rows(base, modulus)
         # Frobenius basis images: img[i][j] = (t^j)^(q^i)
         self._frob_imgs = None
         self._packed = {}
         self._check_frobenius_order()
-
-    # -- modulus selection / validation -------------------------------------
-
-    def _irreducible(self, coeffs) -> bool:
-        b = self.base
-        # root test covers degrees 2 and 3 fully
-        for x in range(b.q):
-            acc = 0
-            xp = 1
-            for c in coeffs:
-                acc = b.add(acc, b.mul(c, xp))
-                xp = b.mul(xp, x)
-            if acc == 0:
-                return False
-        if self.n < 4:
-            return True
-        # degree 4: additionally exclude irreducible quadratic factors via
-        # gcd(x^{q^2} - x, f) over F_q
-        f = list(coeffs)
-        g = self._powx_mod(self.q ** 2, f)
-        g = list(g) + [0] * max(0, 2 - len(g))
-        g[1] = b.sub(g[1], 1)
-        while g and g[-1] == 0:
-            g.pop()
-        return self._gcd_deg(f, g) == 0
-
-    def _powx_mod(self, e, m):
-        b = self.base
-
-        def pmulq(a1, a2):
-            if not a1 or not a2:
-                return []
-            out = [0] * (len(a1) + len(a2) - 1)
-            for i, ai in enumerate(a1):
-                if ai:
-                    for j, aj in enumerate(a2):
-                        out[i + j] = b.add(out[i + j], b.mul(ai, aj))
-            while out and out[-1] == 0:
-                out.pop()
-            return out
-
-        def pmodq(a, mm):
-            a = list(a)
-            while a and a[-1] == 0:
-                a.pop()
-            dm = len(mm) - 1
-            while a and len(a) - 1 >= dm:
-                shift = len(a) - 1 - dm
-                c = a[-1]
-                for i, mi in enumerate(mm):
-                    a[shift + i] = b.sub(a[shift + i], b.mul(c, mi))
-                while a and a[-1] == 0:
-                    a.pop()
-            return a
-
-        result = [1]
-        base_p = pmodq([0, 1], m)
-        while e:
-            if e & 1:
-                result = pmodq(pmulq(result, base_p), m)
-            base_p = pmodq(pmulq(base_p, base_p), m)
-            e >>= 1
-        return result
-
-    def _gcd_deg(self, a, b_) -> int:
-        b = self.base
-        a = list(a)
-        b_ = list(b_)
-
-        def norm(x):
-            while x and x[-1] == 0:
-                x.pop()
-            return x
-
-        def pmodq(x, y):
-            x = norm(list(x))
-            y = norm(list(y))
-            dy = len(y) - 1
-            ylead_inv = b.inv(y[-1])
-            while x and len(x) - 1 >= dy:
-                shift = len(x) - 1 - dy
-                c = b.mul(x[-1], ylead_inv)
-                for i, yi in enumerate(y):
-                    x[shift + i] = b.sub(x[shift + i], b.mul(c, yi))
-                x = norm(x)
-            return x
-
-        a, b_ = norm(a), norm(b_)
-        while b_:
-            a, b_ = b_, pmodq(a, b_)
-        return len(a) - 1 if a else -1
-
-    def _smallest_irreducible(self):
-        n = self.n
-        if n == 1:
-            # degree-1 modulus t - 1: the trivial extension with root 1
-            return (self.base.neg(1), 1)
-        idx = [1] + [0] * (n - 1)
-        while True:
-            cand = tuple(idx) + (1,)
-            if self._irreducible(cand):
-                return cand
-            for k in range(n - 1, -1, -1):
-                idx[k] += 1
-                if idx[k] < self.base.q:
-                    break
-                idx[k] = 0
-            else:
-                raise RuntimeError("no irreducible extension modulus found")
 
     def _check_frobenius_order(self):
         coords = self.gen().coords
@@ -883,91 +727,17 @@ class ExtCtx:
         return tuple(bb.neg(x) for x in a)
 
     def mul(self, a, b):
-        bb = self.base
-        n = self.n
-        if n == 1:
-            return (bb.mul(a[0], b[0]),)
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] = bb.add(prod[i + j], bb.mul(ai, bj))
-        out = list(prod[:n])
-        for i in range(n, 2 * n - 1):
-            c = prod[i]
-            if c:
-                row = self._red[i - n]
-                for k in range(n):
-                    out[k] = bb.add(out[k], bb.mul(c, row[k]))
-        return tuple(out)
+        return tuple(_mul_reduce(self.base, self._red, a, b))
 
     def inv(self, a):
         if not any(a):
             raise ZeroDivisionError("inverse of zero")
-        bb = self.base
-        n = self.n
-        if n == 1:
-            return (bb.inv(a[0]),)
-
-        def norm(x):
-            while x and x[-1] == 0:
-                x.pop()
-            return x
-
-        def pmul(x, y):
-            if not x or not y:
-                return []
-            out = [0] * (len(x) + len(y) - 1)
-            for i, xi in enumerate(x):
-                if xi:
-                    for j, yj in enumerate(y):
-                        out[i + j] = bb.add(out[i + j], bb.mul(xi, yj))
-            return norm(out)
-
-        def pdivmod(x, y):
-            x = norm(list(x))
-            y = norm(list(y))
-            dy = len(y) - 1
-            yl = bb.inv(y[-1])
-            qq = [0] * max(1, len(x) - dy)
-            while x and len(x) - 1 >= dy:
-                shift = len(x) - 1 - dy
-                c = bb.mul(x[-1], yl)
-                qq[shift] = c
-                for i, yi in enumerate(y):
-                    x[shift + i] = bb.sub(x[shift + i], bb.mul(c, yi))
-                x = norm(x)
-            return norm(qq), x
-
-        r0, r1 = list(self.modulus), norm(list(a))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            qq, r = pdivmod(r0, r1)
-            r0, r1 = r1, r
-            t = pmul(qq, s1)
-            nlen = max(len(s0), len(t))
-            s_new = [bb.sub(s0[i] if i < len(s0) else 0, t[i] if i < len(t) else 0)
-                     for i in range(nlen)]
-            s0, s1 = s1, norm(s_new)
-            if not r1:
-                raise ZeroDivisionError("element not invertible")
-        c = bb.inv(r1[0])
-        out = [bb.mul(c, x) for x in s1]
-        out += [0] * (self.n - len(out))
-        return tuple(out[:self.n])
+        return tuple(_poly_inv_mod(self.base, a, self.modulus))
 
     def pow(self, a, e: int):
         if e < 0:
             return self.pow(self.inv(a), -e)
-        result = self.embed(1)
-        base_ = tuple(a)
-        while e:
-            if e & 1:
-                result = self.mul(result, base_)
-            base_ = self.mul(base_, base_)
-            e >>= 1
-        return result
+        return _power(self.mul, self.embed(1), tuple(a), e)
 
     # -- Frobenius / trace / norm --------------------------------------------
 
@@ -1039,36 +809,12 @@ class ExtCtx:
         if self._packed:
             return self._packed
         N = self.order
-        fac = factorize(N - 1)
-
-        def order_ok(g):
-            for prime in fac:
-                if self.pow(g, (N - 1) // prime) == self.embed(1):
-                    return False
-            return True
-
-        gen = None
-        for e in range(2, N):
-            cand = self.unpack(e)
-            if order_ok(cand):
-                gen = cand
-                break
-        if gen is None:
-            gen = self.embed(1)
-        exp = np.zeros(N - 1, dtype=np.int64)
-        log = np.full(N, 2 * N, dtype=np.int64)
-        acc = self.embed(1)
-        for i in range(N - 1):
-            pk = self.pack(acc)
-            exp[i] = pk
-            log[pk] = i
-            acc = self.mul(acc, gen)
-        expx = np.zeros(4 * N + 4, dtype=np.int64)
-        idx = np.arange(2 * (N - 1) + 1)
-        expx[: 2 * (N - 1) + 1] = exp[idx % (N - 1)]
+        tabs = _primitive_tables(self.base, self._red, self.n)
+        expx = tabs["expx"]
+        exp = expx[: N - 1]
         frob = np.zeros(N, dtype=np.int64)
         frob[exp] = expx[(np.arange(N - 1) * self.q) % (N - 1)]
-        tabs = {"logt": log, "expx": expx, "order": N - 1, "frob": frob}
+        tabs["frob"] = frob
         # packed addition helpers: digitwise over the base field
         tabs["digits"] = [((np.arange(N) // self.q ** i) % self.q).astype(np.int64)
                           for i in range(self.n)]

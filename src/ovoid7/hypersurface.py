@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from typing import Optional, Tuple
 
 from . import _pairscan
@@ -477,10 +477,11 @@ def bound_report(r: int, d: int, q: int, precision: int = 50) -> BoundReport:
     """
     if r < 1 or d < 1:
         raise Unsupported("need r >= 1 and d >= 1")
-    getcontext().prec = precision
-    qd = Decimal(q)
-    lw = Decimal((d - 1) * (d - 2)) * qd ** (r - 1) * qd.sqrt()
-    cm = lw + Decimal(5) * (Decimal(d) ** (Decimal(13) / Decimal(3))) * qd ** (r - 1)
+    with localcontext() as dctx:
+        dctx.prec = precision
+        qd = Decimal(q)
+        lw = Decimal((d - 1) * (d - 2)) * qd ** (r - 1) * qd.sqrt()
+        cm = lw + Decimal(5) * (Decimal(d) ** (Decimal(13) / Decimal(3))) * qd ** (r - 1)
     applicable = q > 2 * (r + 1) * d * d
     # q > 6.3 (d+1)^(13/3)  <=>  (10 q)^3 > 63^3 (d+1)^13
     threshold_ok = (10 * q) ** 3 > 63 ** 3 * (d + 1) ** 13

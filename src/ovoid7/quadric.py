@@ -268,14 +268,14 @@ def subspace_points(ctx: FieldCtx, basis: Sequence[Sequence[int]]) -> List[Point
     return out
 
 
-def rank(ctx: FieldCtx, rows: Iterable[Sequence[int]]) -> int:
-    """Gaussian elimination rank over F_q."""
+def _rref(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int):
+    """Reduced row echelon form over F_q: (rows, pivot columns)."""
     mat = [list(int(c) for c in row) for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
+    pivots = []
     r = 0
     for col in range(ncols):
+        if r == len(mat):
+            break
         piv = None
         for i in range(r, len(mat)):
             if mat[i][col]:
@@ -290,10 +290,15 @@ def rank(ctx: FieldCtx, rows: Iterable[Sequence[int]]) -> int:
             if i != r and mat[i][col]:
                 f = mat[i][col]
                 mat[i] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
         r += 1
-        if r == len(mat):
-            break
-    return r
+    return mat, pivots
+
+
+def rank(ctx: FieldCtx, rows: Iterable[Sequence[int]]) -> int:
+    """Rank over F_q."""
+    rows = list(rows)
+    return len(_rref(ctx, rows, len(rows[0]) if rows else 0)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -394,23 +399,6 @@ def kerdock_check(mats: Sequence[KerdockMatrix]) -> bool:
 # generator enumeration (small q oracle)
 
 
-def singular_points(ctx: FieldCtx) -> List[Point]:
-    """All projective points of the quadric, by exhaustive normalization."""
-    out = []
-    seen = set()
-    q = ctx.q
-    for idx in range(1, q ** 8):
-        vec = tuple((idx // q ** i) % q for i in range(8))
-        # only visit normalized representatives: first nonzero coordinate 1
-        lead = next(c for c in vec if c)
-        if lead != 1:
-            continue
-        if quadric_value(ctx, vec) == 0 and vec not in seen:
-            seen.add(vec)
-            out.append(vec)
-    return out
-
-
 @functools.lru_cache(maxsize=4)
 def enumerate_generators(ctx: FieldCtx) -> List[Tuple[Point, ...]]:
     """All maximal totally singular subspaces, as reduced-echelon 4x8 bases.
@@ -506,28 +494,7 @@ def enumerate_generators(ctx: FieldCtx) -> List[Tuple[Point, ...]]:
 def nullspace(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> List[List[int]]:
     """Basis of the right nullspace of the given row constraints."""
     ncols = 8 if not rows else len(rows[0])
-    mat = [list(int(c) for c in row) for row in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = ctx.inv(mat[r][col])
-        mat[r] = [ctx.mul(inv, v) for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
+    mat, pivots = _rref(ctx, rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

@@ -39,7 +39,6 @@ class SearchConfig:
     max_degree: int = 2
     restriction: Union[str, Dict[str, Dict[str, MaskValue]]] = "full"
     budget: int = 1 << 28
-    threads: int = 1
 
     def monomials(self) -> List[Tuple[int, int, int]]:
         if self.max_degree not in (2, 3):

@@ -239,3 +239,13 @@ def test_help_schemas():
     assert r.returncode == 0
     schemas = json.loads(r.stdout)
     assert "verify" in schemas and "manifest" in schemas
+
+
+def test_threads_default_counts_usable_cpus():
+    from ovoid7.cli import build_parser
+
+    args = build_parser().parse_args(["verify", "--q", "2", "--spec", "unused.txt"])
+    if hasattr(os, "sched_getaffinity"):
+        assert args.threads == len(os.sched_getaffinity(0))
+    else:
+        assert args.threads == (os.cpu_count() or 1)

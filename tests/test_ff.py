@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovoid7.errors import CompositeP, NotRational, Unsupported
-from ovoid7.ff import (ExtCtx, FieldCtx, frobenius, make_field,
-                       parse_field_spec, poly_irreducible_fp, rel_norm,
+from ovoid7.ff import (DEFAULT_MODULI, ExtCtx, FieldCtx, _poly_inv_mod, frobenius,
+                       make_field, parse_field_spec, poly_irreducible_fp, rel_norm,
                        rel_trace)
 
 
@@ -55,7 +55,8 @@ def test_make_field_errors():
         FieldCtx(2, 0)
 
 
-@pytest.mark.parametrize("p,h", [(2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (11, 1)])
+@pytest.mark.parametrize("p,h", [(2, 1), (2, 2), (2, 3), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (11, 1),
+                                 (2, 11), (3, 7)])
 def test_field_axioms_random(p, h):
     ctx = make_field(p, h)
     rng = random.Random(p * 100 + h)
@@ -92,6 +93,9 @@ def test_inverse_matches_table_route():
     tabs = ctx.np_tables()
     for a in range(1, ctx.q):
         assert ctx.inv(a) == int(tabs["inv"][a])
+        # the extended-Euclid route used above TABLE_LIMIT agrees
+        euclid = _poly_inv_mod(make_field(3, 1), ctx.digits(a), ctx.modulus)
+        assert ctx.from_digits(euclid) == ctx.inv(a)
 
 
 @given(st.integers(0, 7), st.integers(0, 7))
@@ -246,9 +250,62 @@ def test_packed_tables_agree_with_scalar_ops():
             assert int(s) == ext.pack(ext.add(coords, ext.unpack(m)))
 
 
-def test_ext_modulus_deterministic():
-    a = ExtCtx(make_field(2, 2), 3)
-    b = ExtCtx(make_field(2, 2), 3)
-    assert a.modulus == b.modulus
-    # first lexicographic irreducible cubic over F_4 (low-degree-first order)
-    assert a.modulus == (1, 0, 1, 1)
+# Pinned default moduli.  The curated table misses these fields, so they
+# come from the smallest-irreducible search; any change to its candidate
+# order or to the irreducibility test shows here.
+FIELD_FALLBACK_MODULI = [
+    (2, 9, (1, 0, 0, 0, 0, 0, 0, 0, 1, 1)),
+    (2, 10, (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)),
+    (2, 17, (1,) + (0,) * 13 + (1, 0, 0, 1)),
+    (3, 7, (1, 0, 0, 0, 0, 1, 2, 1)),
+    (3, 12, (1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1)),
+    (5, 4, (1, 0, 1, 1, 1)),
+    (5, 8, (1, 0, 0, 0, 0, 1, 1, 0, 1)),
+    (7, 3, (1, 0, 1, 1)),
+]
+EXT_MODULI = [
+    (2, 2, (1, 1, 1)), (2, 3, (1, 0, 1, 1)), (2, 4, (1, 0, 0, 1, 1)),
+    (3, 2, (1, 0, 1)), (3, 3, (1, 0, 2, 1)), (3, 4, (1, 0, 1, 1, 1)),
+    (4, 2, (1, 2, 1)), (4, 3, (1, 0, 1, 1)), (8, 3, (1, 0, 2, 1)),
+    (9, 4, (1, 0, 3, 3, 1)), (16, 3, (1, 0, 1, 1)), (27, 2, (1, 0, 1)),
+    (32, 2, (1, 1, 1)), (11, 2, (1, 0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,a,b,modulus",
+    [("field", p, h, m) for p, h, m in FIELD_FALLBACK_MODULI]
+    + [("ext", q, n, m) for q, n, m in EXT_MODULI],
+    ids=[f"field-{p}-{h}" for p, h, _ in FIELD_FALLBACK_MODULI]
+    + [f"ext-{q}-{n}" for q, n, _ in EXT_MODULI])
+def test_ext_modulus_deterministic(kind, a, b, modulus):
+    # first lexicographic irreducible (low-degree-first order, c_0 most significant)
+    if kind == "field":
+        assert len(modulus) == b + 1 and (a, b) not in DEFAULT_MODULI
+        assert FieldCtx(a, b).modulus == modulus
+    else:
+        base = parse_field_spec(str(a))
+        assert ExtCtx(base, b).modulus == ExtCtx(base, b).modulus == modulus
+
+
+@pytest.mark.parametrize("q,n", [(5, 2), (4, 3), (3, 4)])
+def test_ext_inverse_round_trip(q, n):
+    ext = ExtCtx(parse_field_spec(str(q)), n)
+    one = ext.embed(1)
+    for e in range(1, ext.order):
+        x = ext.unpack(e)
+        inv = ext.inv(x)
+        assert ext.mul(x, inv) == one
+        assert ext.inv(inv) == x
+    with pytest.raises(ZeroDivisionError):
+        ext.inv(ext.zero().coords)
+
+
+def test_degree_one_extension_is_the_base_field():
+    ctx = make_field(3, 1)
+    ext = ExtCtx(ctx, 1)
+    assert ext.modulus == (1, 1)
+    for a in range(1, 3):
+        for b in range(3):
+            assert ext.mul((a,), (b,)) == (ctx.mul(a, b),)
+        assert ext.inv((a,)) == (ctx.inv(a),)

@@ -375,3 +375,12 @@ def test_bound_radii_monotone():
 def test_bound_argument_guard():
     with pytest.raises(Unsupported):
         bound_report(0, 3, 4)
+
+
+def test_bound_report_leaves_decimal_context_alone():
+    from decimal import localcontext
+
+    with localcontext() as dctx:
+        dctx.prec = 28
+        bound_report(3, 3, 1024, precision=80)
+        assert getcontext().prec == 28
