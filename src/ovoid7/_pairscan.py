@@ -1,4 +1,4 @@
-"""Vectorized scan over pairs of parameter triples.
+"""Table-keyed scan over pairs of parameter triples.
 
 The non-collinearity value for triples i and j is
 
@@ -10,25 +10,48 @@ Triples are indexed with x varying fastest (index k encodes the triple
 (k mod q, (k div q) mod q, k div q^2)), and the deterministic witness is
 always the first violating pair in (i, j) order.
 
-Arithmetic is the field context's vectorized v_add/v_sub/v_mul, which
-pick one of three strategies per field: prime fields use modular integer
-numpy ops, characteristic 2 uses xor for addition plus log/exp gathers
-for products, and other prime powers gather from flat tables.
-Row blocks can be fanned out over a thread pool; the merge keeps block
-order, so results do not depend on the worker count.
+Every term has the form (u_i - u_j)(g_j - g_i) with (u, g) one of (x, f3),
+(y, f2) and (z, f1), so for a fixed row i it depends on the column j only
+through the key u_j*q + g_j.  A block of rows therefore gets one table,
+T[3*(a*q + b) + k, i] = enc((u_i - a)(b - g_i)) for the three terms k,
+gathered from per-field grids of v_sub and v_mul results (q^2 entries
+per row and term, 1/q of the pair work).  Column j carries the uint16 keys
+3*(u_j*q + g_j) + k, computed once per scan.  A step of r rows gathers,
+for every key of its columns, the r entries of T under that key in one
+copy, so each pair costs three lookups, two uint16 adds and one lookup in
+a zero table.
+
+enc spreads the h base-p digits of an element into s-bit lanes with
+2^s > 3(p - 1), so a sum of three encodings never carries from one lane
+into the next, and lane by lane it equals the field sum up to multiples
+of p.  A boolean table over the 2^(s*h) possible sums (at most 4096 for
+q <= 64) marks those whose lanes are all 0 mod p, that is L(i, j) = 0.
+The same encoding serves prime, characteristic-2 and other prime-power
+fields.  These per-field constants are built once per field context.
+
+Rows are scanned in blocks of about BLOCK_ELEMS pairs, the unit of early
+exit and of pairs_checked; a block is worked through in steps of about
+STEP_ELEMS pairs so its tables and intermediates stay in cache.  Blocks
+can be fanned out over a thread pool; the merge keeps block order, so
+results do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Tuple
 
 import numpy as np
 
+from .errors import Unsupported
 from .ff import FieldCtx
 
 BLOCK_ELEMS = 1 << 21
+STEP_ELEMS = 1 << 15
+
+_TERMS = np.arange(3)[:, None]
 
 
 def triple_of_index(q: int, k: int) -> Tuple[int, int, int]:
@@ -64,6 +87,51 @@ def eval_on_grid(poly, ctx: FieldCtx, xs, ys, zs):
     return out
 
 
+def lane_encoding(ctx: FieldCtx):
+    """(enc, zero): enc[v] holds the base-p digits of v in s-bit lanes,
+    2^s > 3(p - 1); zero[t] says whether every lane of t is 0 mod p."""
+    p, h = ctx.p, ctx.h
+    s = (3 * (p - 1)).bit_length()
+    if s * h > 16 or 3 * ctx.q ** 2 > 1 << 16:
+        raise Unsupported(f"the pair kernel's 16-bit lanes and keys do not fit q={ctx.q}")
+    v = np.arange(ctx.q)
+    t = np.arange(1 << (s * h))
+    enc = np.zeros(ctx.q, dtype=np.int64)
+    zero = np.ones(len(t), dtype=bool)
+    for i in range(h):
+        enc += (v // p ** i % p) << (s * i)
+        zero &= (t >> (s * i) & ((1 << s) - 1)) % p == 0
+    return enc.astype(np.uint16), zero
+
+
+@functools.lru_cache(maxsize=64)
+def _constants(ctx: FieldCtx):
+    """Per-field constants: prod[a*q + b] = enc(a*b), the zero table, the key
+    grids left[a, u] = (u - a)*q and right[b, g] = b - g, and the matrix that
+    maps the six value tables to the column keys 3*(u*q + g)."""
+    enc, zero = lane_encoding(ctx)
+    q = ctx.q
+    ar = np.arange(q)
+    prod = enc[ctx.v_mul(ar[:, None], ar[None, :])].ravel()
+    left = ctx.v_sub(ar[None, :], ar[:, None]) * q
+    right = ctx.v_sub(ar[:, None], ar[None, :])
+    # rows: (x, f3), (y, f2), (z, f1) out of (x, y, z, f1, f2, f3)
+    mix = np.array([[3 * q, 0, 0, 0, 0, 3], [0, 3 * q, 0, 0, 3, 0], [0, 0, 3 * q, 3, 0, 0]])
+    out = prod, zero, left, right, mix
+    for a in out:
+        a.flags.writeable = False       # shared by every scan over this field
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _lower_mask(step: int):
+    """mask[c, i] = c >= i: which of the first step - 1 columns of a step
+    lie past row i."""
+    mask = np.tril(np.ones((max(step - 1, 0), step), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
 class PairScanResult:
     __slots__ = ("zero_pairs", "first_zero", "pairs_checked", "elapsed")
 
@@ -82,33 +150,46 @@ def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> Pair
     of L; otherwise every pair is visited and zeros are counted exactly.
     """
     t0 = time.perf_counter()
-    xs, ys, zs, f1, f2, f3 = tables
-    n = len(xs)
+    q = ctx.q
+    prod, zero, left, right, mix = _constants(ctx)
+    vals = np.array(tables)
+    # term k pairs u = (x, y, z)[k] with g = (f3, f2, f1)[k]
+    us, gs = vals[:3], vals[5:2:-1]
+    keys = (mix @ vals + _TERMS).astype(np.uint16)
+    n = vals.shape[1]
+    width = 3 * q * q
     rows_per_block = max(1, BLOCK_ELEMS // max(1, n))
+    # a power of two rows per step, at least 8, so each gathered table
+    # entry is one 16, 32, ... byte copy
+    step = min(rows_per_block, n, 1 << max(3, (STEP_ELEMS // max(1, n)).bit_length() - 1))
     starts = list(range(0, n, rows_per_block))
     threads = max(1, int(threads or 1))
+    lower = _lower_mask(step)
 
     def scan_block(s: int):
         e = min(s + rows_per_block, n)
-        if s + 1 >= n:
-            return 0, 0, None
-        I = np.arange(s, e, dtype=np.int64)[:, None]
-        cols = np.arange(s + 1, n, dtype=np.int64)[None, :]
-        sub, mul, add = ctx.v_sub, ctx.v_mul, ctx.v_add
-        acc = mul(sub(xs[I], xs[cols]), sub(f3[cols], f3[I]))
-        acc = add(acc, mul(sub(ys[I], ys[cols]), sub(f2[cols], f2[I])))
-        acc = add(acc, mul(sub(zs[I], zs[cols]), sub(f1[cols], f1[I])))
-        zero = (acc == 0)
-        zero &= cols > I
-        pairs = sum(n - 1 - i for i in range(s, e))
-        nz = int(zero.sum())
-        first = None
-        if nz:
-            flat = np.flatnonzero(zero.ravel())
-            width = zero.shape[1]
-            # row-major order coincides with (i, j) order inside the block
-            r, c = divmod(int(flat[0]), width)
-            first = (s + r, s + 1 + c)
+        # table[3*(a*q + b) + k, r] = enc((u_r - a)(b - g_r)) for term k and block row r
+        d1 = left.take(us[:, s:e], axis=1)
+        d2 = right.take(gs[:, s:e], axis=1)
+        table = prod.take(d1[:, None] + d2).reshape(width, e - s)
+        pairs = (e - s) * (n - 1) - (s + e - 1) * (e - s) // 2
+        nz, first = 0, None
+        for a in range(s, e, step):
+            # rows a .. a+r-1 against columns a+1 .. n-1; hit[c, i] is the pair (a+i, a+1+c)
+            r = min(step, e - a)
+            terms = table[:, a - s:a - s + r].take(keys[:, a + 1:], axis=0)
+            acc = terms[0] + terms[1]
+            acc += terms[2]
+            hit = zero.take(acc)
+            hit[:r - 1] &= lower[:r - 1, :r]
+            m = int(np.count_nonzero(hit))
+            if m:
+                if first is None:
+                    i, c = divmod(int(hit.T.argmax()), n - a - 1)
+                    first = (a + i, a + 1 + c)
+                nz += m
+                if early_exit:
+                    break
         return pairs, nz, first
 
     # Early exit stops at the first block containing a zero; later blocks

@@ -354,10 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print the JSON report schemas and exit")
     sub = ap.add_subparsers(dest="cmd")
 
-    def common(p):
+    def common(p, threads_help="workers for pair scans; results are identical for any value"):
         p.add_argument("--q", required=True, help='field, "p^h" or a prime power')
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="workers for pair scans; results are identical for any value")
+        p.add_argument("--threads", type=int, default=_default_threads(), help=threads_help)
         p.add_argument("--out", help="also write the JSON report to this file")
         p.add_argument("--no-timing", action="store_true",
                        help="zero timing fields for byte-identical reruns")
@@ -386,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hypersurface)
 
     p = sub.add_parser("search", help="exhaustive triple search")
-    common(p)
+    common(p, threads_help="accepted for a uniform command line and ignored: "
+                           "search always runs on one thread")
     p.add_argument("--max-degree", type=int, default=2, choices=(2, 3))
     p.add_argument("--mask", help="JSON file pinning coefficients")
     p.add_argument("--restriction", choices=("full", "homogeneous-top"))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -246,12 +247,31 @@ def _primitive_tables(K, red, n: int) -> dict:
         if all(_power(mul, one, cand, (N - 1) // r) != one for r in primes):
             gen = cand
             break
-    exp = [0] * (N - 1)
-    acc = one
-    for i in range(N - 1):
-        exp[i] = sum(c * w for c, w in zip(acc, weights))
+    # exp in blocks of B ~ sqrt(N): g^(kB + i) is g^i times (g^B)^k.  The
+    # base-p digits of a packed encoding are its coordinates over F_p, and
+    # multiplication by g^B is F_p-linear on them (the matrix `step`), so
+    # every block after the first is one integer matrix product.
+    def packed(v):
+        return sum(c * w for c, w in zip(v, weights))
+
+    count = N - 1
+    B = math.isqrt(max(count - 1, 0)) + 1
+    head, acc = [], one
+    for _ in range(B):
+        head.append(packed(acc))
         acc = mul(acc, gen)
-    exp = np.array(exp, dtype=np.int64)
+    p = K.p
+    digit = p ** np.arange(n * K.h, dtype=np.int64)
+    # column j: the digits of g^B times the j-th F_p basis element p^j
+    images = [packed(mul([w // c % q for c in weights], acc)) for w in digit.tolist()]
+    step = np.array(images, dtype=np.int64)[None, :] // digit[:, None] % p
+    block = np.array(head, dtype=np.int64)
+    parts = [block]
+    block = block[None, :] // digit[:, None] % p
+    for _ in range(1, -(-count // B)):
+        block = step @ block % p
+        parts.append(digit @ block)
+    exp = np.concatenate(parts)[:count]
     logt = np.full(N, 2 * N, dtype=np.int64)
     logt[exp] = np.arange(N - 1, dtype=np.int64)
     expx = np.zeros(4 * N + 4, dtype=np.int64)

@@ -224,27 +224,28 @@ def test_criterion_09_exhaustive_classification_q2():
 
 
 def test_criterion_10_bound_calculator():
-    from decimal import Decimal, getcontext
+    from decimal import Decimal, localcontext
 
-    getcontext().prec = 80
-    worst = 0.0
-    for (r, d, q) in itertools.product((3, 5), (2, 3, 4), (8, 64, 739, 1024)):
-        rep = bound_report(r, d, q)
-        lw = Decimal((d - 1) * (d - 2)) * Decimal(q) ** (r - 1) * Decimal(q).sqrt()
-        cm = lw + 5 * Decimal(d) ** (Decimal(13) / Decimal(3)) * Decimal(q) ** (r - 1)
-        if lw:
-            worst = max(worst, abs(float((Decimal(rep.lw_radius) - lw) / lw)))
-        worst = max(worst, abs(float((Decimal(rep.cm_radius) - cm) / cm)))
-    assert worst < 1e-12
-    boundaries = {}
-    from ovoid7.ff import factorize
+    with localcontext() as dctx:
+        dctx.prec = 80
+        worst = 0.0
+        for (r, d, q) in itertools.product((3, 5), (2, 3, 4), (8, 64, 739, 1024)):
+            rep = bound_report(r, d, q)
+            lw = Decimal((d - 1) * (d - 2)) * Decimal(q) ** (r - 1) * Decimal(q).sqrt()
+            cm = lw + 5 * Decimal(d) ** (Decimal(13) / Decimal(3)) * Decimal(q) ** (r - 1)
+            if lw:
+                worst = max(worst, abs(float((Decimal(rep.lw_radius) - lw) / lw)))
+            worst = max(worst, abs(float((Decimal(rep.cm_radius) - cm) / cm)))
+        assert worst < 1e-12
+        boundaries = {}
+        from ovoid7.ff import factorize
 
-    for d in (2, 3):
-        q = threshold_boundary(d)
-        boundaries[d] = q
-        prev = max(s for s in range(2, q) if len(factorize(s)) == 1)
-        assert bound_report(5, d, q).threshold_ok
-        assert not bound_report(5, d, prev).threshold_ok
+        for d in (2, 3):
+            q = threshold_boundary(d)
+            boundaries[d] = q
+            prev = max(s for s in range(2, q) if len(factorize(s)) == 1)
+            assert bound_report(5, d, q).threshold_ok
+            assert not bound_report(5, d, prev).threshold_ok
     report(10, True, f"radii within 1e-12 (worst {worst:.2e}); "
                      f"threshold flips at prime powers {boundaries}")
 

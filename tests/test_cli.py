@@ -249,3 +249,16 @@ def test_threads_default_counts_usable_cpus():
         assert args.threads == len(os.sched_getaffinity(0))
     else:
         assert args.threads == (os.cpu_count() or 1)
+
+
+def test_search_threads_help_says_one_thread():
+    from ovoid7.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "cmd").choices
+    (search_threads,) = [a for a in sub["search"]._actions if a.dest == "threads"]
+    (verify_threads,) = [a for a in sub["verify"]._actions if a.dest == "threads"]
+    assert "one thread" in search_threads.help
+    assert "one thread" not in verify_threads.help
+    # the flag stays accepted
+    args = build_parser().parse_args(["search", "--q", "2", "--threads", "1"])
+    assert args.threads == 1

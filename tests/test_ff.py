@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovoid7.errors import CompositeP, NotRational, Unsupported
-from ovoid7.ff import (DEFAULT_MODULI, ExtCtx, FieldCtx, _poly_inv_mod, frobenius,
-                       make_field, parse_field_spec, poly_irreducible_fp, rel_norm,
-                       rel_trace)
+from ovoid7.ff import (DEFAULT_MODULI, ExtCtx, FieldCtx, _mul_reduce, _poly_inv_mod,
+                       frobenius, make_field, parse_field_spec, poly_irreducible_fp,
+                       rel_norm, rel_trace)
 
 
 def test_prime_field_construction():
@@ -248,6 +248,48 @@ def test_packed_tables_agree_with_scalar_ops():
             assert int(prod) == ext.pack(ext.mul(coords, ext.unpack(m)))
             s = ext.v_add_packed(np.int64(k), np.int64(m))
             assert int(s) == ext.pack(ext.add(coords, ext.unpack(m)))
+
+
+class _DigitArithmetic:
+    """F_q as a coefficient context that multiplies by multiply-and-reduce on
+    digit vectors, never through log/exp tables."""
+
+    def __init__(self, ctx):
+        self.ctx, self.q = ctx, ctx.q
+
+    def add(self, a, b):
+        return self.ctx.add(a, b)
+
+    def mul(self, a, b):
+        c = self.ctx
+        return c.from_digits(_mul_reduce(c._fp, c._red, c.digits(a), c.digits(b)))
+
+
+@pytest.mark.parametrize("field", ["3^4", "9^4", "16^3", "2^10"])
+def test_exp_table_matches_sequential_powers(field):
+    import numpy as np
+
+    base, n = {"3^4": ((3, 1), 4), "9^4": ((3, 2), 4),
+               "16^3": ((2, 4), 3), "2^10": ((2, 1), 10)}[field]
+    if base[1] == 1:
+        ctx = make_field(base[0], n)
+        tabs, K, red = ctx._log_exp_tables(), make_field(*base), ctx._red
+    else:
+        ext = ExtCtx(make_field(*base), n)
+        tabs, K, red = ext.packed_tables(), _DigitArithmetic(ext.base), ext._red
+    q, N = K.q, K.q ** n
+    weights = [q ** i for i in range(n)]
+    exp = tabs["expx"][:N - 1].tolist()
+    gen = [(exp[1] // w) % q for w in weights]
+    # reference: N - 1 sequential multiplications by the generator
+    acc = [1] + [0] * (n - 1)
+    for i in range(N - 1):
+        assert exp[i] == sum(c * w for c, w in zip(acc, weights)), i
+        acc = _mul_reduce(K, red, acc, gen)
+    assert acc == [1] + [0] * (n - 1)
+    logt = tabs["logt"]
+    assert logt[0] == 2 * N
+    assert (logt[np.array(exp)] == np.arange(N - 1)).all()
 
 
 # Pinned default moduli.  The curated table misses these fields, so they

@@ -1,7 +1,7 @@
 """Pair polynomial construction, scans, factorization residuals, bounds."""
 
 import random
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 
 import pytest
 
@@ -334,31 +334,33 @@ def test_bound_applicability_flag():
 @pytest.mark.parametrize("d,expected", [(2, 739), (3, 2579)])
 def test_threshold_boundary_prime_power(d, expected):
     # oracle: high-precision evaluation of 6.3 (d+1)^(13/3), then the scan
-    getcontext().prec = 60
-    bound = Decimal("6.3") * Decimal(d + 1) ** (Decimal(13) / Decimal(3))
-    q = threshold_boundary(d)
-    assert q == expected
-    assert Decimal(q) > bound
-    # no smaller prime power exceeds the bound
-    from ovoid7.ff import factorize
+    with localcontext() as dctx:
+        dctx.prec = 60
+        bound = Decimal("6.3") * Decimal(d + 1) ** (Decimal(13) / Decimal(3))
+        q = threshold_boundary(d)
+        assert q == expected
+        assert Decimal(q) > bound
+        # no smaller prime power exceeds the bound
+        from ovoid7.ff import factorize
 
-    for smaller in range(2, q):
-        if len(factorize(smaller)) == 1:
-            assert Decimal(smaller) <= bound
-    assert bound_report(5, d, q).threshold_ok
-    prev = max(s for s in range(2, q) if len(factorize(s)) == 1)
-    assert not bound_report(5, d, prev).threshold_ok
+        for smaller in range(2, q):
+            if len(factorize(smaller)) == 1:
+                assert Decimal(smaller) <= bound
+        assert bound_report(5, d, q).threshold_ok
+        prev = max(s for s in range(2, q) if len(factorize(s)) == 1)
+        assert not bound_report(5, d, prev).threshold_ok
 
 
 def test_bound_radii_high_precision_recompute():
-    getcontext().prec = 80
-    for (r, d, q) in ((5, 3, 128), (5, 4, 739), (3, 2, 64), (5, 2, 1024)):
-        rep = bound_report(r, d, q)
-        lw = Decimal((d - 1) * (d - 2)) * Decimal(q) ** (r - 1) * Decimal(q).sqrt()
-        cm = lw + 5 * Decimal(d) ** (Decimal(13) / Decimal(3)) * Decimal(q) ** (r - 1)
-        if lw:
-            assert abs(Decimal(rep.lw_radius) - lw) / lw < Decimal("1e-12")
-        assert abs(Decimal(rep.cm_radius) - cm) / cm < Decimal("1e-12")
+    with localcontext() as dctx:
+        dctx.prec = 80
+        for (r, d, q) in ((5, 3, 128), (5, 4, 739), (3, 2, 64), (5, 2, 1024)):
+            rep = bound_report(r, d, q)
+            lw = Decimal((d - 1) * (d - 2)) * Decimal(q) ** (r - 1) * Decimal(q).sqrt()
+            cm = lw + 5 * Decimal(d) ** (Decimal(13) / Decimal(3)) * Decimal(q) ** (r - 1)
+            if lw:
+                assert abs(Decimal(rep.lw_radius) - lw) / lw < Decimal("1e-12")
+            assert abs(Decimal(rep.cm_radius) - cm) / cm < Decimal("1e-12")
 
 
 def test_bound_radii_monotone():
@@ -378,8 +380,6 @@ def test_bound_argument_guard():
 
 
 def test_bound_report_leaves_decimal_context_alone():
-    from decimal import localcontext
-
     with localcontext() as dctx:
         dctx.prec = 28
         bound_report(3, 3, 1024, precision=80)

@@ -1,0 +1,152 @@
+"""The table-keyed pair kernel against a scalar oracle, and the bounds of
+its lane encoding."""
+
+import random
+import types
+
+import numpy as np
+import pytest
+
+from ovoid7 import _pairscan
+from ovoid7.errors import Unsupported
+from ovoid7.families import kantor_simple
+from ovoid7.ff import factorize, make_field
+from ovoid7.mpoly import MPoly
+from ovoid7.quadric import VERIFY_Q_LIMIT, OvoidSpec, collinearity_value
+
+FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
+
+
+def rand_spec(ctx, rng, max_deg=3):
+    polys = []
+    for _ in range(3):
+        d = {}
+        for _ in range(rng.randrange(6)):
+            m = tuple(rng.randrange(max_deg + 1) for _ in range(3))
+            if sum(m) == 0 or sum(m) > max_deg:
+                continue
+            d[m] = rng.randrange(ctx.q)
+        polys.append(MPoly.from_dict(ctx, 3, d))
+    return OvoidSpec(ctx, *polys)
+
+
+class _Values:
+    """A component whose values come from the scalar evaluator, computed once
+    per triple instead of once per pair."""
+
+    def __init__(self, poly, pts):
+        self.values = {t: poly.eval_raw(t) for t in pts}
+
+    def eval_raw(self, t):
+        return self.values[t]
+
+
+def scalar_oracle(spec):
+    """(zero count, first zero) over all unordered pairs in scan order, from
+    quadric.collinearity_value on plain integers, without numpy tables."""
+    q = spec.ctx.q
+    pts = [(x, y, z) for z in range(q) for y in range(q) for x in range(q)]
+    values = types.SimpleNamespace(ctx=spec.ctx, f1=_Values(spec.f1, pts),
+                                   f2=_Values(spec.f2, pts), f3=_Values(spec.f3, pts))
+    count, first = 0, None
+    for i, ti in enumerate(pts):
+        for j in range(i + 1, len(pts)):
+            if collinearity_value(values, ti, pts[j]).v == 0:
+                count += 1
+                if first is None:
+                    first = (i, j)
+    return count, first
+
+
+def pairs_before(n, rows):
+    """Unordered pairs (i, j), i < j, with i < rows."""
+    return rows * (n - 1) - rows * (rows - 1) // 2
+
+
+def specs_for(q):
+    ctx = make_field(*FIELDS[q])
+    rng = random.Random(1000 + q)
+    zero = MPoly.zero(ctx, 3)
+    specs = [rand_spec(ctx, rng) for _ in range(4 if q <= 5 else 2 if q < 9 else 1)]
+    if q <= 5:
+        specs.append(OvoidSpec(ctx, zero, zero, zero))
+    if ctx.p == 2:
+        specs.append(kantor_simple(ctx))
+    return specs
+
+
+@pytest.mark.parametrize("q", sorted(FIELDS))
+def test_kernel_matches_scalar_oracle(q, monkeypatch):
+    n = q ** 3
+    for spec in specs_for(q):
+        count, first = scalar_oracle(spec)
+        tables = spec.value_tables()
+        # the default layout, then many blocks and steps per scan
+        for block, step in ((_pairscan.BLOCK_ELEMS, _pairscan.STEP_ELEMS), (1 << 12, 1 << 9)):
+            monkeypatch.setattr(_pairscan, "BLOCK_ELEMS", block)
+            monkeypatch.setattr(_pairscan, "STEP_ELEMS", step)
+            rows_per_block = max(1, block // n)
+            for threads in (1, 2):
+                full = _pairscan.pair_scan(spec.ctx, tables, early_exit=False, threads=threads)
+                assert (full.zero_pairs, full.first_zero) == (count, first)
+                assert full.pairs_checked == n * (n - 1) // 2
+                early = _pairscan.pair_scan(spec.ctx, tables, early_exit=True, threads=threads)
+                assert early.zero_pairs is None if first else early.zero_pairs == 0
+                assert early.first_zero == first
+                # early exit stops after the block holding the first zero
+                rows = n if first is None else min(n, (first[0] // rows_per_block + 1)
+                                                   * rows_per_block)
+                assert early.pairs_checked == pairs_before(n, rows)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_early_exit_past_first_block_q16(threads):
+    # q = 16: n = 4096 triples, 512 rows per block, 8 blocks.  Kantor-simple
+    # is an ovoid there; copying triple i onto triple j makes (i, j) the
+    # only zero pair, since every other pair still joins two ovoid points.
+    spec = kantor_simple(make_field(2, 4))
+    tables = [t.copy() for t in spec.value_tables()]
+    i, j = 1100, 2000                      # row 1100 lies in block 2 (rows 1024..1535)
+    for t in tables:
+        t[j] = t[i]
+    full = _pairscan.pair_scan(spec.ctx, tables, early_exit=False, threads=threads)
+    assert (full.zero_pairs, full.first_zero) == (1, (i, j))
+    early = _pairscan.pair_scan(spec.ctx, tables, early_exit=True, threads=threads)
+    assert early.first_zero == (i, j)
+    assert early.pairs_checked == pairs_before(4096, 1536) == 5111040
+
+
+def prime_powers_up_to(limit):
+    return [tuple(*factorize(q).items()) for q in range(2, limit + 1) if len(factorize(q)) == 1]
+
+
+@pytest.mark.parametrize("p,h", prime_powers_up_to(VERIFY_Q_LIMIT))
+def test_lane_encoding_bounds(p, h):
+    ctx = make_field(p, h)
+    q = ctx.q
+    enc, zero = _pairscan.lane_encoding(ctx)
+    s = (len(zero).bit_length() - 1) // h
+    assert len(zero) == 1 << (s * h)
+    lane = (1 << s) - 1
+    # each lane holds one base-p digit and has room for a sum of three
+    assert 1 << s > 3 * (p - 1)
+    for v in range(q):
+        assert [(int(enc[v]) >> (s * i)) & lane for i in range(h)] == list(ctx.digits(v))
+    # a sum of three encodings fits the lane dtype, and so do the column keys
+    assert enc.dtype == np.uint16
+    assert 3 * int(enc.max()) < len(zero) <= 1 << 16
+    mix = _pairscan._constants(ctx)[4]
+    assert int((mix @ np.full(6, q - 1)).max()) + 2 <= np.iinfo(np.uint16).max
+    # the zero table marks exactly the sums whose lanes are all 0 mod p
+    expected = [all(((t >> (s * i)) & lane) % p == 0 for i in range(h)) for t in range(len(zero))]
+    assert zero.tolist() == expected
+    # ... which are exactly the sums of three encodings adding to 0 in F_q
+    a, b, c = (g.ravel() for g in np.meshgrid(*[np.arange(q)] * 3, indexing="ij"))
+    field_zero = ctx.v_add(ctx.v_add(a, b), c) == 0
+    assert (zero[enc[a].astype(np.int64) + enc[b] + enc[c]] == field_zero).all()
+
+
+def test_lane_encoding_refuses_fields_past_16_bits():
+    with pytest.raises(Unsupported):
+        _pairscan.lane_encoding(make_field(2, 8))
