@@ -362,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="zero timing fields for byte-identical reruns")
 
     p = sub.add_parser("construct", help="build a family triple")
-    common(p)
+    common(p, threads_help="accepted for a uniform command line and ignored: "
+                           "construct runs no pair scan")
     p.add_argument("--family", required=True, choices=fam.FAMILY_NAMES)
     p.add_argument("--param", action="append", default=[],
                    help="family parameter name=value (repeatable); all=0 zeroes them")
@@ -396,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("kerdock", help="skew-matrix set check")
-    common(p)
+    common(p, threads_help="accepted for a uniform command line and ignored: "
+                           "kerdock runs no pair scan")
     p.add_argument("--family", choices=fam.FAMILY_NAMES)
     p.add_argument("--spec")
     p.add_argument("--param", action="append", default=[])

@@ -48,7 +48,8 @@ def pack_exps(exps: Sequence[int]) -> int:
     key = 0
     for i, e in enumerate(exps):
         if e < 0 or e > MAX_EXP:
-            raise Unsupported(f"exponent {e} outside supported range 0..{MAX_EXP}")
+            raise Unsupported(f"exponent {e} outside 0..{MAX_EXP} "
+                              f"(the exponent cap: {EXP_BITS} bits per variable)")
         key |= e << (EXP_BITS * i)
     return key
 
@@ -317,7 +318,7 @@ def _add_keys(k1: int, k2: int, nvars: int) -> int:
     e2 = unpack_exps(k2, nvars)
     summed = tuple(a + b for a, b in zip(e1, e2))
     if any(e > MAX_EXP for e in summed):
-        raise Unsupported("exponent overflow in product")
+        raise Unsupported(f"product exceeds the exponent cap {MAX_EXP}")
     return pack_exps(summed)
 
 

@@ -164,14 +164,29 @@ def index_of_spec(cfg: SearchConfig, spec: OvoidSpec) -> Optional[int]:
     return idx
 
 
+# Table entries in one chunk of a component's blocks, and prefilter sums in
+# one step (the zero-table lookup widens each 2-byte sum to an 8-byte index).
+CHUNK_ELEMS = 1 << 22
+STEP_ELEMS = 1 << 18
+
+
 def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
     """Enumerate coefficient vectors and keep those defining ovoids.
 
     The candidate count is computed before starting; a BudgetExceeded
-    error carries it.  The unrestricted q = 2 space is classified by the
-    value tables of the components (polynomials inducing the same
-    functions share one verdict); everything else runs a vectorized
-    origin-row prefilter and then full pairwise verification.
+    error carries it.
+
+    A verdict depends only on the value tables of f1, f2 and f3 on the q^3
+    grid.  Free positions are ordered component by component, last fastest,
+    so a candidate index is k = (k1*Q2 + k2)*Q3 + k3, where k_c numbers the
+    Q_c coefficient blocks of component c.  Each component's blocks are
+    evaluated once, in chunks of at most CHUNK_ELEMS table entries, and
+    deduplicated (at q = 2, x^2 = x folds the 512 blocks of a component to
+    64 tables).  Every triple of distinct tables then passes an exact
+    origin-row prefilter, x f3 + y f2 + z f1 != 0 off the origin, computed
+    as a sum of the pair kernel's lane encodings and one zero-table lookup
+    per point; survivors get an early-exit pair scan.  The blocks of each
+    passing triple expand to candidate indices, returned in increasing order.
     """
     count = cfg.candidate_count()
     if count > cfg.budget:
@@ -182,7 +197,7 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
     monos = cfg.monomials()
     n = len(monos)
     fixed = cfg.fixed_values()
-    free_pos = [i for i in range(3 * n) if i not in fixed]
+    enc, zero = _pairscan.lane_encoding(ctx)
 
     # value tables of each monomial on the q^3 grid, in scan order
     xs, ys, zs = _pairscan.coordinate_arrays(q)
@@ -190,110 +205,78 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
         _pairscan.eval_on_grid(MPoly.from_dict(ctx, 3, {m: 1}), ctx, xs, ys, zs)
         for m in monos
     ])                                                    # (n, q^3)
+    npts = q ** 3
 
-    if q == 2 and not fixed:
-        found = _search_gf2_full(mono_vals)
-    else:
-        found = _search_generic(cfg, mono_vals, free_pos, count)
+    # per component: pinned coefficients, free monomials, and how many of
+    # the last free positions one chunk enumerates (q^low blocks)
+    comps = []
+    for c in range(3):
+        coeffs = [fixed.get(c * n + j, 0) for j in range(n)]
+        free = [j for j in range(n) if c * n + j not in fixed]
+        low = 0
+        while low < len(free) and q ** (low + 1) * npts <= CHUNK_ELEMS:
+            low += 1
+        comps.append((coeffs, free, low))
+    sizes = [q ** len(free) for _, free, _ in comps]
+    current: List[Optional[tuple]] = [None] * 3
+
+    def part(c: int, chunk: int):
+        """(tables, origin-row codes, first block, block -> table row) of a
+        chunk; each component keeps its current chunk."""
+        if current[c] is None or current[c][0] != chunk:
+            coeffs, free, low = comps[c]
+            tabs, inv = _chunk_tables(ctx, mono_vals, coeffs, free, low, chunk)
+            u = (zs, ys, xs)[c]                   # f1 pairs with z, f2 with y, f3 with x
+            codes = enc[ctx.v_mul(u[None, 1:], tabs[:, 1:])]
+            current[c] = (chunk, (tabs, codes, chunk * q ** low, inv))
+        return current[c][1]
+
+    found = []
+    for chunks in itertools.product(*(range(q ** (len(free) - low)) for _, free, low in comps)):
+        parts = [part(c, ch) for c, ch in enumerate(chunks)]
+        (t1, e1, _, _), (t2, e2, _, _), (t3, e3, _, _) = parts
+        step = max(1, STEP_ELEMS // (len(t3) * (npts - 1)))
+        for lo in range(0, len(t1) * len(t2), step):
+            a, b = np.divmod(np.arange(lo, min(lo + step, len(t1) * len(t2))), len(t2))
+            sums = (e1[a] + e2[b])[:, None, :] + e3[None]
+            alive = ~zero.take(sums).any(axis=2)
+            for r, c in zip(*np.nonzero(alive)):
+                rows = (a[r], b[r], c)
+                tables = (xs, ys, zs) + tuple(tabs[i] for (tabs, _, _, _), i in zip(parts, rows))
+                if _pairscan.pair_scan(ctx, tables, early_exit=True).first_zero is None:
+                    k1, k2, k3 = (first + np.flatnonzero(inv == i)
+                                  for (_, _, first, inv), i in zip(parts, rows))
+                    found.append(((k1[:, None, None] * sizes[1] + k2[:, None]) * sizes[2]
+                                  + k3).ravel())
+    found = np.sort(np.concatenate(found)).tolist() if found else []
     return SearchResult(candidates_tested=count, found_indices=found,
                         config=cfg, elapsed=time.perf_counter() - t0)
 
 
-def _search_gf2_full(mono_vals) -> List[int]:
-    """Fully vectorized classification of all candidates at q = 2.
+def _chunk_tables(ctx: FieldCtx, mono_vals, coeffs, free, low: int, chunk: int):
+    """Distinct value tables of one chunk of a component's blocks.
 
-    Each component's coefficient block maps to an 8-bit value table; the
-    pairwise condition depends only on the three tables, so verdicts are
-    computed once per table triple and gathered per candidate.
+    The chunk pins the free positions before the last `low` ones to the
+    base-q digits of `chunk` and enumerates the last `low`, last fastest.
+    Returns the distinct tables (one row each) and the row of each block.
     """
-    n = mono_vals.shape[0]
-    npts = 8
-    # value table (bitmask) for each of the 2^n coefficient blocks
-    block = np.arange(1 << n, dtype=np.int64)
-    vt = np.zeros(1 << n, dtype=np.int64)
-    for j in range(n):
-        has = ((block >> (n - 1 - j)) & 1).astype(np.int64)   # vector order: first monomial = high bit
-        for p in range(npts):
-            if mono_vals[j, p]:
-                vt ^= (has << p)
-    # verdicts over all realizable (vt1, vt2, vt3) triples
-    uniq = np.unique(vt)
-    u = len(uniq)
-    g1, g2, g3 = np.meshgrid(uniq, uniq, uniq, indexing="ij")
-    g1 = g1.ravel()
-    g2 = g2.ravel()
-    g3 = g3.ravel()
-    ok = np.ones(u ** 3, dtype=bool)
-    xs, ys, zs = _pairscan.coordinate_arrays(2)
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            dx = int(xs[i] ^ xs[j])
-            dy = int(ys[i] ^ ys[j])
-            dz = int(zs[i] ^ zs[j])
-            d3 = ((g3 >> i) ^ (g3 >> j)) & 1
-            d2 = ((g2 >> i) ^ (g2 >> j)) & 1
-            d1 = ((g1 >> i) ^ (g1 >> j)) & 1
-            lhs = (dx & d3) ^ (dy & d2) ^ (dz & d1)
-            ok &= lhs.astype(bool)
-    pass_arr = np.zeros(1 << 24, dtype=bool)
-    pass_arr[(g1 << 16) | (g2 << 8) | g3] = ok
-    # classify all candidates in chunks
-    found: List[int] = []
-    total = 1 << (3 * n)
-    chunk = 1 << 22
-    mask = (1 << n) - 1
-    for start in range(0, total, chunk):
-        ks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        key = (vt[(ks >> (2 * n)) & mask] << 16) | (vt[(ks >> n) & mask] << 8) | vt[ks & mask]
-        hits = ks[pass_arr[key]]
-        found.extend(int(h) for h in hits)
-    return found
-
-
-def _search_generic(cfg: SearchConfig, mono_vals, free_pos, count) -> List[int]:
-    """Batched enumeration: a vectorized prefilter against the origin row,
-    then a full pairwise verification of survivors."""
-    ctx = cfg.ctx
-    q = ctx.q
-    n = mono_vals.shape[0]
-    fixed = cfg.fixed_values()
-    xs, ys, zs = _pairscan.coordinate_arrays(q)
-    found: List[int] = []
-    batch = max(1, (1 << 18) // max(1, q ** 3 // 64))
-    nfree = len(free_pos)
-    for start in range(0, count, batch):
-        idxs = np.arange(start, min(start + batch, count), dtype=np.int64)
-        # decode free digits (last position fastest)
-        vecs = np.zeros((len(idxs), 3 * n), dtype=np.int64)
-        for pos, val in fixed.items():
-            vecs[:, pos] = val
-        rem = idxs.copy()
-        for slot in range(nfree - 1, -1, -1):
-            vecs[:, free_pos[slot]] = rem % q
-            rem //= q
-        # value tables per component: (B, q^3)
-        tabs = []
-        for c in range(3):
-            coeffs = vecs[:, c * n:(c + 1) * n]
-            acc = np.zeros((len(idxs), q ** 3), dtype=np.int64)
-            for j in range(n):
-                col = coeffs[:, j]
-                if not (col != 0).any():
-                    continue
-                prod = ctx.v_mul(col[:, None], mono_vals[j][None, :])
-                acc = ctx.v_add(acc, prod)
-            tabs.append(acc)
-        f1v, f2v, f3v = tabs
-        # origin-row prefilter: s(j) = x f3 + y f2 + z f1 must be nonzero
-        s = ctx.v_add(ctx.v_add(ctx.v_mul(xs[None, :], f3v), ctx.v_mul(ys[None, :], f2v)),
-                      ctx.v_mul(zs[None, :], f1v))
-        alive = ~np.any(s[:, 1:] == 0, axis=1)
-        for row in np.flatnonzero(alive):
-            tables = (xs, ys, zs, f1v[row], f2v[row], f3v[row])
-            res = _pairscan.pair_scan(ctx, tables, early_exit=True, threads=1)
-            if res.first_zero is None:
-                found.append(int(idxs[row]))
-    return found
+    coeffs = list(coeffs)
+    head, tail = free[:len(free) - low], free[len(free) - low:]
+    for j in reversed(head):
+        chunk, coeffs[j] = divmod(chunk, ctx.q)
+    vals = np.zeros((1, mono_vals.shape[1]), dtype=np.int64)
+    for j, cj in enumerate(coeffs):
+        if cj and j not in tail:
+            vals = ctx.v_add(vals, ctx.v_mul(np.int64(cj), mono_vals[j]))
+    scaled = np.arange(ctx.q)[:, None]
+    for j in tail:
+        vals = ctx.v_add(vals[:, None, :], ctx.v_mul(scaled, mono_vals[j])[None]).reshape(
+            -1, vals.shape[1])
+    # one byte per entry (the pair kernel's lanes need q < 148), so each
+    # table compares as one byte string, much faster than unique(axis=0)
+    rows = np.ascontiguousarray(vals, dtype=np.uint8).view(np.dtype((np.void, vals.shape[1])))
+    _, first, inv = np.unique(rows.ravel(), return_index=True, return_inverse=True)
+    return vals[first], inv
 
 
 # ---------------------------------------------------------------------------

@@ -255,10 +255,30 @@ def test_search_threads_help_says_one_thread():
     from ovoid7.cli import build_parser
 
     sub = next(a for a in build_parser()._actions if a.dest == "cmd").choices
-    (search_threads,) = [a for a in sub["search"]._actions if a.dest == "threads"]
-    (verify_threads,) = [a for a in sub["verify"]._actions if a.dest == "threads"]
-    assert "one thread" in search_threads.help
-    assert "one thread" not in verify_threads.help
+
+    def threads_help(cmd):
+        (action,) = [a for a in sub[cmd]._actions if a.dest == "threads"]
+        return action.help
+
+    assert "one thread" in threads_help("search")
+    # construct and kerdock run no pair scan, so they ignore the flag too
+    for cmd in ("search", "construct", "kerdock"):
+        assert threads_help(cmd).startswith("accepted for a uniform command line and ignored")
+    for cmd in ("verify", "hypersurface"):
+        assert "ignored" not in threads_help(cmd)
+        assert "one thread" not in threads_help(cmd)
     # the flag stays accepted
     args = build_parser().parse_args(["search", "--q", "2", "--threads", "1"])
     assert args.threads == 1
+    args = build_parser().parse_args(["construct", "--q", "2", "--family", "kantor-simple",
+                                      "--threads", "1"])
+    assert args.threads == 1
+    args = build_parser().parse_args(["kerdock", "--q", "4", "--threads", "1"])
+    assert args.threads == 1
+
+
+def test_ree_tits_past_exponent_cap_is_unsupported():
+    r = run("construct", "--family", "ree-tits", "--q", "3^7", "--no-timing")
+    assert r.returncode == 3        # EXIT_UNSUPPORTED
+    assert r.stdout == ""
+    assert "exponent cap" in r.stderr

@@ -96,6 +96,14 @@ def test_ree_tits_structure():
         ree_tits(make_field(2, 1))
 
 
+def test_ree_tits_exponent_cap():
+    # q = 3^5 still fits: the largest exponent is 2*27 + 3 = 57
+    assert ree_tits(make_field(3, 5)).degree == 57
+    # q = 3^7 needs exponents up to 2*81 + 3 = 165, past the cap of 63
+    with pytest.raises(Unsupported, match="exponent cap"):
+        ree_tits(make_field(3, 7))
+
+
 def test_dye():
     ctx = make_field(2, 3)
     spec = dye(ctx)

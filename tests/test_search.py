@@ -1,9 +1,15 @@
 """Exhaustive searches and witness recognition."""
 
+import hashlib
+import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ovoid7 import search
 from ovoid7.errors import BudgetExceeded, Unsupported
 from ovoid7.ff import ExtCtx, make_field
 from ovoid7.mpoly import MPoly
@@ -79,7 +85,7 @@ def test_mask_free_marker_and_errors():
         SearchConfig(ctx, max_degree=2, restriction={"f1": {"x+y": 0}}).fixed_values()
 
 
-def test_generic_path_matches_fast_path_on_subspace():
+def test_search_matches_brute_force_on_subspace():
     # pin f2, f3 to the short Kantor values; enumerate f1 freely (2^9)
     ctx = make_field(2, 1)
     pin2 = {"x*z": 1, "y^2": 1, "z^2": 1, "x*y": 0, "y*z": 0, "x^2": 0,
@@ -89,13 +95,100 @@ def test_generic_path_matches_fast_path_on_subspace():
     cfg = SearchConfig(ctx, max_degree=2, restriction={"f2": pin2, "f3": pin3})
     assert cfg.candidate_count() == 2 ** 9
     res = exhaustive_triple_search(cfg)
-    # brute-force oracle over the same subspace
-    expected = []
-    for idx in range(2 ** 9):
-        spec = spec_from_index(cfg, idx)
-        if verify_ovoid(spec).is_ovoid:
-            expected.append(idx)
-    assert res.found_indices == expected
+    assert res.found_indices == _brute_force(cfg)
+    assert res.contains(kantor_simple(ctx))
+
+
+def _digest(indices):
+    return hashlib.sha256(",".join(map(str, indices)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("restriction, hits, digest", [
+    ("full", 4096, "fddf9204a01709354a84be252ab64691d3b645bb8bb378ed3a2d2ea025aea36e"),
+    ("homogeneous-top", 8, "5fc19c384040e9b90bad312ea4814f579740874d5dfce9c7dea0b88124927bdd"),
+])
+def test_q2_hits_are_pinned(restriction, hits, digest):
+    cfg = SearchConfig(make_field(2, 1), max_degree=2, restriction=restriction)
+    res = exhaustive_triple_search(cfg)
+    assert res.candidates_tested == cfg.candidate_count()
+    assert len(res.found_indices) == hits
+    assert _digest(res.found_indices) == digest
+
+
+# -- the factored search against a per-candidate oracle ---------------------------
+
+
+def _brute_force(cfg):
+    """Indices of every candidate that verify_ovoid accepts, one by one."""
+    return [k for k in range(cfg.candidate_count())
+            if verify_ovoid(spec_from_index(cfg, k)).is_ovoid]
+
+
+def _mono_text(m):
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip("xyz", m) if e)
+
+
+def _mask(monos, free, pinned):
+    """Restriction dict over every position: free ones marked, the rest pinned."""
+    n = len(monos)
+    return {f"f{c + 1}": {_mono_text(m): "free" if c * n + j in free else pinned[c * n + j]
+                          for j, m in enumerate(monos)}
+            for c in range(3)}
+
+
+def _kantor_coeffs(ctx, monos):
+    return [f.coeff_raw(m) for f in kantor_simple(ctx).polys() for m in monos]
+
+
+@pytest.mark.parametrize("spread", [1, 2, 3])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_search_matches_brute_force(spread, data):
+    """Random masks with free positions in `spread` of the three components
+    (the others fully pinned), at most about 2^10 candidates, under the
+    default chunking and under chunks of one or a few blocks."""
+    p, h = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]), label="field")
+    ctx = make_field(p, h)
+    q = ctx.q
+    degree = data.draw(st.sampled_from([2, 3]), label="max_degree") if q == 2 else 2
+    monos = triple_monomials(degree)
+    n = len(monos)
+    max_free = {2: 10, 3: 6, 4: 5}[q]
+    comps = data.draw(st.sampled_from(list(itertools.combinations(range(3), spread))),
+                      label="components")
+    free = set()
+    for i, c in enumerate(comps):
+        room = max_free - len(free) - (len(comps) - 1 - i)
+        js = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=room, unique=True))
+        free |= {c * n + j for j in js}
+    if p == 2 and data.draw(st.booleans(), label="near kantor-simple"):
+        pinned = _kantor_coeffs(ctx, monos)
+    else:
+        pinned = data.draw(st.lists(st.integers(0, q - 1), min_size=3 * n, max_size=3 * n))
+    cfg = SearchConfig(ctx, max_degree=degree, restriction=_mask(monos, free, pinned))
+    assert cfg.candidate_count() == q ** len(free) <= 1 << 10
+    chunk = data.draw(st.sampled_from([q ** 3, q ** 4, search.CHUNK_ELEMS]), label="chunk")
+    step = data.draw(st.sampled_from([1, 100, search.STEP_ELEMS]), label="step")
+    with mock.patch.object(search, "CHUNK_ELEMS", chunk), \
+            mock.patch.object(search, "STEP_ELEMS", step):
+        res = exhaustive_triple_search(cfg)
+    assert res.candidates_tested == cfg.candidate_count()
+    assert res.found_indices == _brute_force(cfg)
+
+
+def test_lopsided_mask_matches_brute_force():
+    # all ten free positions in f1 at degree 3; f2, f3 and the rest of f1 as
+    # in the short Kantor triple.  Chunks of 8 blocks split f1 into 128 chunks.
+    ctx = make_field(2, 1)
+    monos = triple_monomials(3)
+    free = set(range(len(monos) - 10, len(monos)))
+    cfg = SearchConfig(ctx, max_degree=3,
+                       restriction=_mask(monos, free, _kantor_coeffs(ctx, monos)))
+    assert cfg.candidate_count() == 2 ** 10
+    with mock.patch.object(search, "CHUNK_ELEMS", 8 * 2 ** 3), \
+            mock.patch.object(search, "STEP_ELEMS", 64):
+        res = exhaustive_triple_search(cfg)
+    assert res.found_indices == _brute_force(cfg)
     assert res.contains(kantor_simple(ctx))
 
 
