@@ -334,7 +334,7 @@ def cmd_kerdock(args) -> int:
     else:
         raise ParseError("kerdock needs --spec or --family")
     mats = kerdock_set(spec)
-    ok = kerdock_check(mats)
+    ok = kerdock_check(mats, threads=args.threads)
     report = {
         "all_differences_nonsingular": ok,
         "matrices": len(mats),
@@ -397,8 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("kerdock", help="skew-matrix set check")
-    common(p, threads_help="accepted for a uniform command line and ignored: "
-                           "kerdock runs no pair scan")
+    common(p)
     p.add_argument("--family", choices=fam.FAMILY_NAMES)
     p.add_argument("--spec")
     p.add_argument("--param", action="append", default=[])

@@ -14,9 +14,11 @@ points is nonzero; `verify_ovoid` checks this exhaustively.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from collections.abc import Sequence
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -332,23 +334,49 @@ class KerdockMatrix:
         return hash(self.m)
 
 
-def kerdock_set(spec: OvoidSpec) -> List[KerdockMatrix]:
-    """One matrix per parameter triple, in scan order."""
+class KerdockSet(Sequence):
+    """Skew matrices held as their six upper-triangle entries, one int64
+    array each in the order of `KerdockMatrix.upper`; items are built (and
+    validated) on access, slices stay arrays."""
+
+    __slots__ = ("ctx", "triples", "upper")
+
+    def __init__(self, ctx: FieldCtx, triples, upper):
+        self.ctx = ctx
+        self.triples = triples          # (x, y, z) arrays
+        self.upper = upper              # (m01, m02, m03, m12, m13, m23) arrays
+
+    @classmethod
+    def stack(cls, mats: Sequence[KerdockMatrix]) -> "KerdockSet":
+        """The arrays of a nonempty list of matrices over one field."""
+        triples = np.array([m.triple for m in mats], dtype=np.int64).T
+        upper = np.array([m.upper() for m in mats], dtype=np.int64).T
+        return cls(mats[0].ctx, tuple(triples), tuple(upper))
+
+    def __len__(self):
+        return len(self.upper[0])
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return KerdockSet(self.ctx, tuple(a[k] for a in self.triples),
+                              tuple(a[k] for a in self.upper))
+        m01, m02, m03, m12, m13, m23 = (int(a[k]) for a in self.upper)
+        n = self.ctx.neg
+        m = (
+            (0, m01, m02, m03),
+            (n(m01), 0, m12, m13),
+            (n(m02), n(m12), 0, m23),
+            (n(m03), n(m13), n(m23), 0),
+        )
+        return KerdockMatrix(self.ctx, tuple(int(a[k]) for a in self.triples), m)
+
+
+def kerdock_set(spec: OvoidSpec) -> KerdockSet:
+    """One matrix per parameter triple, in scan order:
+    m01 = x, m02 = -y, m03 = z, m12 = f1, m13 = f2, m23 = f3."""
     ctx = spec.ctx
     xs, ys, zs, f1, f2, f3 = spec.value_tables()
-    n = ctx.neg
-    out = []
-    for k in range(ctx.q ** 3):
-        x, y, z = int(xs[k]), int(ys[k]), int(zs[k])
-        a, b, c = int(f1[k]), int(f2[k]), int(f3[k])
-        m = (
-            (0, x, n(y), z),
-            (n(x), 0, a, b),
-            (y, n(a), 0, c),
-            (n(z), n(b), n(c), 0),
-        )
-        out.append(KerdockMatrix(ctx, (x, y, z), m))
-    return out
+    return KerdockSet(ctx, (xs, ys, zs), (xs, ctx.v_sub(0, ys), zs, f1, f2, f3))
 
 
 def pfaffian4(ctx: FieldCtx, upper: Sequence[int]) -> int:
@@ -378,122 +406,74 @@ def det4(ctx: FieldCtx, m: Sequence[Sequence[int]]) -> int:
     return det(idx, idx)
 
 
-def kerdock_check(mats: Sequence[KerdockMatrix]) -> bool:
-    """True iff every difference of two distinct matrices is nonsingular."""
-    if not mats:
+def kerdock_check(mats: Sequence[KerdockMatrix], threads: int = 1) -> bool:
+    """True iff every difference of two distinct matrices is nonsingular.
+
+    With d the entrywise difference of two matrices' upper triangles,
+    Pf = d01*d23 - d02*d13 + d03*d12, which is exactly -L(i, j) of the pair
+    kernel for the tables (m01, m02, m03, m12, -m13, m23) taken as
+    (x, y, z, f1, f2, f3).  For a kerdock_set those are the triple's own
+    value tables with y and f2 negated, which leaves L unchanged.
+    """
+    if not len(mats):
         return True
-    ctx = mats[0].ctx
-    ups = [m.upper() for m in mats]
-    n = len(ups)
-    for i in range(n):
-        ui = ups[i]
-        for j in range(i + 1, n):
-            uj = ups[j]
-            diff = tuple(ctx.sub(a, b) for a, b in zip(ui, uj))
-            if pfaffian4(ctx, diff) == 0:
-                return False
-    return True
+    if not isinstance(mats, KerdockSet):
+        mats = KerdockSet.stack(mats)
+    ctx = mats.ctx
+    m01, m02, m03, m12, m13, m23 = mats.upper
+    tables = (m01, m02, m03, m12, ctx.v_sub(0, m13), m23)
+    return _pairscan.pair_scan(ctx, tables, early_exit=True, threads=threads).first_zero is None
 
 
 # ---------------------------------------------------------------------------
 # generator enumeration (small q oracle)
 
 
+def _echelon_bases(q: int, m: int):
+    """Every m x 4 reduced-echelon matrix over F_q, with its pivot columns."""
+    for piv in itertools.combinations(range(4), m):
+        slots = [(i, c) for i, p in enumerate(piv) for c in range(p + 1, 4) if c not in piv]
+        for vals in itertools.product(range(q), repeat=len(slots)):
+            rows = [[int(c == p) for c in range(4)] for p in piv]
+            for (i, c), v in zip(slots, vals):
+                rows[i][c] = v
+            yield piv, rows
+
+
 @functools.lru_cache(maxsize=4)
 def enumerate_generators(ctx: FieldCtx) -> List[Tuple[Point, ...]]:
     """All maximal totally singular subspaces, as reduced-echelon 4x8 bases.
 
-    Exhaustive DFS over echelon rows; practical for q in {2, 3} only.
-    The count always equals 2(q+1)(q^2+1)(q^3+1).
+    Write a vector as (a | b) with a = X0..X3 and b = X4..X7, so that
+    Q(a | b) = a . rev(b).  A generator W is fixed by its projection U onto
+    X0..X3 (dimension m, taken in reduced echelon form with pivot columns
+    piv) and an alternating m x m matrix M over F_q: W meets X0 = .. = X3 = 0
+    in the rows (0 | rev(k)) for k in the nullspace of U, and row j of U
+    lifts to (U_j | b_j) with U_i . rev(b_j) = M_ij, that is with M_ij at
+    X_{7 - piv_i}.  Total singularity is exactly M alternating, so there are
+    sum_m [4, m]_q q^(m(m-1)/2) = 2(q+1)(q^2+1)(q^3+1) generators; the
+    oracle is meant for q in {2, 3}.
     """
     if ctx.q > GENERATOR_Q_LIMIT:
         raise Unsupported(f"generator enumeration supports q <= {GENERATOR_Q_LIMIT}")
     q = ctx.q
-
-    def bil(u, v):
-        acc = 0
-        for i, j in ((0, 7), (1, 6), (2, 5), (3, 4)):
-            acc = ctx.add(acc, ctx.mul(u[i], v[j]))
-            acc = ctx.add(acc, ctx.mul(u[j], v[i]))
-        return acc
-
-    def reduce_rows(rows, piv_cols, new_row, new_piv):
-        # clear the new pivot column from earlier rows (keeps RREF shape)
-        out = []
-        for row in rows:
-            c = row[new_piv]
-            if c:
-                row = tuple(ctx.sub(a, ctx.mul(c, b)) for a, b in zip(row, new_row))
-            out.append(row)
-        return out
-
-    results = set()
-    visited = set()
-
-    def span_candidates(basis, last_piv):
-        """Normalized singular vectors in the span with pivot beyond last_piv."""
-        k = len(basis)
-        if k == 0:
-            return
-        idx = np.arange(1, q ** k, dtype=np.int64)
-        cols = []
-        for col in range(8):
-            acc = np.zeros_like(idx)
-            for i, brow in enumerate(basis):
-                c = brow[col]
-                if c:
-                    coeff = (idx // q ** i) % q
-                    acc = ctx.v_add(acc, ctx.v_mul(coeff, np.full_like(idx, c)))
-            cols.append(acc)
-        arr = np.stack(cols, axis=1)
-        # pivot = first nonzero column; require normalized and past last_piv
-        nz = arr != 0
-        has = nz.any(axis=1)
-        piv = np.where(has, nz.argmax(axis=1), 8)
-        lead = arr[np.arange(len(arr)), np.minimum(piv, 7)]
-        ok = has & (piv > last_piv) & (lead == 1)
-        qv = ctx.v_add(ctx.v_add(ctx.v_mul(arr[:, 0], arr[:, 7]),
-                                 ctx.v_mul(arr[:, 1], arr[:, 6])),
-                       ctx.v_add(ctx.v_mul(arr[:, 2], arr[:, 5]),
-                                 ctx.v_mul(arr[:, 3], arr[:, 4])))
-        ok &= qv == 0
-        for row_idx in np.flatnonzero(ok):
-            vec = tuple(int(v) for v in arr[row_idx])
-            yield vec, int(piv[row_idx])
-
-    def extend(rows, piv_cols):
-        if len(rows) == 4:
-            # reduction keeps rows in reduced echelon form, which is unique
-            # per subspace, so distinct chains to one solid collide here
-            results.add(tuple(rows))
-            return
-        if rows:
-            key = tuple(rows)
-            if key in visited:
-                return
-            visited.add(key)
-        # linear constraints: zero at existing pivots, orthogonal to rows
-        cons = []
-        for pc in piv_cols:
-            row = [0] * 8
-            row[pc] = 1
-            cons.append(row)
-        for r in rows:
-            cons.append([r[7], r[6], r[5], r[4], r[3], r[2], r[1], r[0]])
-        basis = nullspace(ctx, cons)
-        last_piv = piv_cols[-1] if piv_cols else -1
-        for vec, piv in span_candidates(basis, last_piv):
-            new_rows = reduce_rows(rows, piv_cols, vec, piv)
-            new_rows.append(vec)
-            extend(new_rows, piv_cols + [piv])
-
-    extend([], [])
-    return sorted(results)
+    out = []
+    for m in range(5):
+        pairs = list(itertools.combinations(range(m), 2))
+        for piv, u in _echelon_bases(q, m):
+            kernel = [[0] * 4 + k[::-1] for k in nullspace(ctx, u, 4)]
+            for vals in itertools.product(range(q), repeat=len(pairs)):
+                rows = [row + [0] * 4 for row in u]
+                for (i, j), v in zip(pairs, vals):
+                    rows[j][7 - piv[i]] = v
+                    rows[i][7 - piv[j]] = ctx.neg(v)
+                basis, _ = _rref(ctx, rows + kernel, 8)
+                out.append(tuple(tuple(row) for row in basis))
+    return sorted(out)
 
 
-def nullspace(ctx: FieldCtx, rows: Sequence[Sequence[int]]) -> List[List[int]]:
+def nullspace(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int) -> List[List[int]]:
     """Basis of the right nullspace of the given row constraints."""
-    ncols = 8 if not rows else len(rows[0])
     mat, pivots = _rref(ctx, rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []

@@ -102,40 +102,36 @@ class SearchResult:
 
     def to_json_dict(self, max_listed: int = 1000) -> dict:
         listed = self.found_indices[:max_listed]
+        layout = _layout(self.config)
         return {
             "candidates_tested": self.candidates_tested,
             "ovoids_found": len(self.found_indices),
-            "specs": [self.spec_of(i).render_lines() for i in listed],
+            "specs": [spec_from_index(self.config, i, layout).render_lines() for i in listed],
             "candidate_indices": [int(i) for i in self.found_indices],
             "truncated": len(self.found_indices) > max_listed,
             "elapsed_ms": round(self.elapsed * 1000.0, 3),
         }
 
 
-def _vector_of_index(cfg: SearchConfig, candidate_index: int) -> List[int]:
+def _layout(cfg: SearchConfig):
+    """(monomials, pinned positions, free positions) of the coefficient vector."""
     monos = cfg.monomials()
-    n = 3 * len(monos)
     fixed = cfg.fixed_values()
-    free_pos = [i for i in range(n) if i not in fixed]
+    return monos, fixed, [i for i in range(3 * len(monos)) if i not in fixed]
+
+
+def spec_from_index(cfg: SearchConfig, candidate_index: int, layout=None) -> OvoidSpec:
+    """The triple of one candidate; pass `_layout(cfg)` to decode many."""
+    monos, fixed, free_pos = layout or _layout(cfg)
+    n = len(monos)
     q = cfg.ctx.q
-    digits = []
-    k = candidate_index
-    for _ in free_pos:
-        digits.append(k % q)
-        k //= q
-    digits.reverse()                   # last free position varies fastest
-    vec = [0] * n
+    vec = [0] * (3 * n)
     for pos, val in fixed.items():
         vec[pos] = val
-    for pos, val in zip(free_pos, digits):
-        vec[pos] = val
-    return vec
-
-
-def spec_from_index(cfg: SearchConfig, candidate_index: int) -> OvoidSpec:
-    monos = cfg.monomials()
-    n = len(monos)
-    vec = _vector_of_index(cfg, candidate_index)
+    k = candidate_index
+    for pos in reversed(free_pos):     # last free position varies fastest
+        vec[pos] = k % q
+        k //= q
     polys = []
     for i in range(3):
         d = {m: vec[i * n + j] for j, m in enumerate(monos) if vec[i * n + j]}

@@ -217,6 +217,18 @@ def test_threads_identical_output():
     assert ja == jb
 
 
+def test_kerdock_threads_identical_output():
+    # q = 16 spreads the scan over several blocks; q = 8 fails (exit 1)
+    for q, code in (("16", 0), ("8", 1)):
+        a, b = (run("kerdock", "--family", "kantor-simple", "--q", q, "--threads", t,
+                    "--no-timing") for t in ("1", "2"))
+        assert a.returncode == b.returncode == code
+        ja, jb = json.loads(a.stdout), json.loads(b.stdout)
+        assert ja["all_differences_nonsingular"] == (code == 0)
+        ja["manifest"]["command"] = jb["manifest"]["command"] = "x"
+        assert ja == jb
+
+
 _Q4_CACHE = None
 
 
@@ -261,10 +273,10 @@ def test_search_threads_help_says_one_thread():
         return action.help
 
     assert "one thread" in threads_help("search")
-    # construct and kerdock run no pair scan, so they ignore the flag too
-    for cmd in ("search", "construct", "kerdock"):
+    # construct runs no pair scan, so it ignores the flag too
+    for cmd in ("search", "construct"):
         assert threads_help(cmd).startswith("accepted for a uniform command line and ignored")
-    for cmd in ("verify", "hypersurface"):
+    for cmd in ("verify", "hypersurface", "kerdock"):
         assert "ignored" not in threads_help(cmd)
         assert "one thread" not in threads_help(cmd)
     # the flag stays accepted

@@ -1,6 +1,7 @@
 """Quadric geometry: candidate points, verification, spreads, the
 skew-matrix set and the generator oracle."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from ovoid7.errors import NonzeroAtOrigin, Unsupported
 from ovoid7.ff import make_field
 from ovoid7.mpoly import MPoly
 from ovoid7.families import kantor_simple, kantor_2mod3_even, thas_kantor
-from ovoid7.quadric import (OvoidSpec, bilinear, collinearity_value, det4,
+from ovoid7.quadric import (KerdockMatrix, OvoidSpec, bilinear, collinearity_value, det4,
                             enumerate_generators, generator_point_sets,
                             infinity_space_basis, kerdock_check, kerdock_set,
                             meets_every_generator_once, normalize_point,
@@ -34,6 +35,9 @@ def rand_spec(ctx, rng, max_deg=3):
             d[m] = rng.randrange(ctx.q)
         polys.append(MPoly.from_dict(ctx, 3, d))
     return OvoidSpec(ctx, *polys)
+
+
+SMALL_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
 
 
 def triples(q):
@@ -298,7 +302,105 @@ def test_kerdock_check_equivalent_to_verify(q):
         assert kerdock_check(kerdock_set(spec)) == verify_ovoid(spec).is_ovoid
 
 
+def rand_kerdock_matrix(ctx, rng, k):
+    n = ctx.neg
+    u = [rng.randrange(ctx.q) for _ in range(6)]
+    m = ((0, u[0], u[1], u[2]),
+         (n(u[0]), 0, u[3], u[4]),
+         (n(u[1]), n(u[3]), 0, u[5]),
+         (n(u[2]), n(u[4]), n(u[5]), 0))
+    return KerdockMatrix(ctx, (k, 0, 0), m)
+
+
+def scalar_kerdock_check(ctx, mats):
+    ups = [m.upper() for m in mats]
+    for i in range(len(ups)):
+        for j in range(i + 1, len(ups)):
+            if pfaffian4(ctx, [ctx.sub(a, b) for a, b in zip(ups[i], ups[j])]) == 0:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("q", sorted(SMALL_FIELDS))
+def test_kerdock_check_matches_scalar_pfaffian_loop(q):
+    ctx = make_field(*SMALL_FIELDS[q])
+    rng = random.Random(40 + q)
+    seen = set()
+    for length in (0, 1, 2, 3, 5, 8, 13):
+        for _ in range(6):
+            mats = [rand_kerdock_matrix(ctx, rng, k) for k in range(length)]
+            want = scalar_kerdock_check(ctx, mats)
+            assert kerdock_check(mats) == want, (q, length)
+            seen.add(want)
+            if mats:
+                # a repeated matrix has a zero difference
+                dup = mats + [mats[rng.randrange(length)]]
+                assert not scalar_kerdock_check(ctx, dup)
+                assert not kerdock_check(dup)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("q", sorted(SMALL_FIELDS))
+def test_pfaffian_of_difference_is_minus_collinearity(q):
+    ctx = make_field(*SMALL_FIELDS[q])
+    rng = random.Random(70 + q)
+    for _ in range(3):
+        spec = rand_spec(ctx, rng)
+        mats = kerdock_set(spec)
+        for _ in range(40):
+            mi, mj = mats[rng.randrange(len(mats))], mats[rng.randrange(len(mats))]
+            diff = [ctx.sub(a, b) for a, b in zip(mi.upper(), mj.upper())]
+            want = ctx.neg(collinearity_value(spec, mi.triple, mj.triple).v)
+            assert pfaffian4(ctx, diff) == want
+
+
+def test_kerdock_set_items_slices_and_lists():
+    ctx = make_field(3, 1)
+    spec = rand_spec(ctx, random.Random(5))
+    mats = kerdock_set(spec)
+    assert len(mats) == 27
+    n = ctx.neg
+    for k, (x, y, z) in enumerate(triples(3)):
+        a, b, c = (int(f.eval_raw((x, y, z))) for f in spec.polys())
+        m = mats[k]
+        assert m.triple == (x, y, z)
+        assert m.m == ((0, x, n(y), z), (n(x), 0, a, b), (y, n(a), 0, c), (n(z), n(b), n(c), 0))
+    assert [m.triple for m in mats[5:9]] == [m.triple for m in list(mats)[5:9]]
+    assert mats[-1].triple == (2, 2, 2)
+    # a plain list of the same matrices gives the same verdict
+    for other in (zero_spec(ctx), thas_kantor(ctx, 2), spec):
+        mats = kerdock_set(other)
+        assert kerdock_check(list(mats)) == kerdock_check(mats) == verify_ovoid(other).is_ovoid
+        assert kerdock_check(mats[:4]) == scalar_kerdock_check(ctx, mats[:4])
+
+
 # -- generators -------------------------------------------------------------------
+
+# sha256 of repr(list(enumerate_generators(make_field(q, 1)))), as listed by
+# the depth-first search over echelon rows that the direct construction replaced
+GENERATOR_SHA256 = {
+    2: "b2033ec6d39080f72b6df16e9c18e3c743b63b9210204230630073acb5469a39",
+    3: "a2a94502639a6fc7a07d33a2444d9ddab5b7b84ef35617aabaa87d6318a6b6e9",
+}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_generators_pinned(q):
+    gens = enumerate_generators(make_field(q, 1))
+    assert len(gens) == 2 * (q + 1) * (q ** 2 + 1) * (q ** 3 + 1)
+    assert hashlib.sha256(repr(list(gens)).encode()).hexdigest() == GENERATOR_SHA256[q]
+
+
+def test_generators_rank4_totally_singular_q3():
+    ctx = make_field(3, 1)
+    gens = enumerate_generators(ctx)
+    assert len(set(gens)) == 2240
+    for g in gens:
+        assert rank(ctx, g) == 4
+        for i, u in enumerate(g):
+            assert quadric_value(ctx, u) == 0
+            for v in g[i + 1:]:
+                assert bilinear(ctx, u, v).v == 0
 
 
 def test_generator_count_q2():
