@@ -58,9 +58,12 @@ def triple_of_index(q: int, k: int) -> Tuple[int, int, int]:
     return (k % q, (k // q) % q, k // (q * q))
 
 
-def index_of_triple(q: int, t) -> int:
-    x, y, z = t
-    return x + q * y + q * q * z
+def witness_triples(q: int, first_zero):
+    """The two triples of a scan's first zero pair (i, j), or None."""
+    if first_zero is None:
+        return None
+    i, j = first_zero
+    return triple_of_index(q, i), triple_of_index(q, j)
 
 
 def coordinate_arrays(q: int):
@@ -194,33 +197,24 @@ def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> Pair
 
     # Early exit stops at the first block containing a zero; later blocks
     # of the same batch are discarded from the pair count, so the reported
-    # numbers are identical for every worker count.
+    # numbers are identical for every worker count.  One thread makes no pool.
     pairs_checked = 0
     zero_total = 0
     first_zero = None
-
-    def consume(results):
-        nonlocal pairs_checked, zero_total, first_zero
-        for pairs, nz, first in results:
-            pairs_checked += pairs
-            zero_total += nz
-            if first is not None and first_zero is None:
-                first_zero = first
-            if early_exit and zero_total:
-                return True
-        return False
-
-    if threads == 1:
-        for s in starts:
-            if consume([scan_block(s)]):
-                return PairScanResult(None, first_zero, pairs_checked,
-                                      time.perf_counter() - t0)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for batch_start in range(0, len(starts), threads):
-                batch = starts[batch_start:batch_start + threads]
-                if consume(pool.map(scan_block, batch)):
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    run = pool.map if pool else map
+    try:
+        for b in range(0, len(starts), threads):
+            for pairs, nz, first in run(scan_block, starts[b:b + threads]):
+                pairs_checked += pairs
+                zero_total += nz
+                if first_zero is None:
+                    first_zero = first
+                if early_exit and zero_total:
                     return PairScanResult(None, first_zero, pairs_checked,
                                           time.perf_counter() - t0)
+    finally:
+        if pool:
+            pool.shutdown()
     return PairScanResult(zero_total, first_zero, pairs_checked,
                           time.perf_counter() - t0)

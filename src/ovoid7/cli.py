@@ -31,6 +31,8 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 
 SCHEMAS = {
+    "construct": {"family": "str", "q": "int", "degree": "int",
+                  "spec_lines": "[3 polynomial strings]", "manifest": "manifest"},
     "verify": {
         "is_ovoid": "bool",
         "witness": "[[x1,y1,z1],[x2,y2,z2]] | null",
@@ -40,8 +42,16 @@ SCHEMAS = {
         "degree": "int",
         "manifest": "manifest",
     },
+    "build": {"degree": "int", "terms": "int", "diagonal_vanishes": "bool",
+              "polynomial": "str", "manifest": "manifest"},
     "scan": {"total": "int", "off_diagonal": "int", "witness": "pair | null",
              "elapsed_ms": "float", "manifest": "manifest"},
+    "plane-check": {"residual_zero": "bool", "residual_terms": "int",
+                    "alpha": "[int]", "beta": "[int]", "manifest": "manifest"},
+    "quadric-check": {"residual_zero": "bool", "residual_terms": "int",
+                      "witness": "{QR, QS, LR, MR, NR: [int], k: int | null, "
+                                 "xi: [int] | null}",
+                      "solved_entries": "object", "manifest": "manifest"},
     "search": {"candidates_tested": "int", "ovoids_found": "int",
                "specs": "[3-line polynomial strings]",
                "candidate_indices": "[int]", "truncated": "bool",
@@ -50,6 +60,8 @@ SCHEMAS = {
                "lw_radius": "float", "cm_radius": "float",
                "applicable": "bool", "threshold_ok": "bool",
                "lang_weil_constant": "str", "manifest": "manifest"},
+    "kerdock": {"all_differences_nonsingular": "bool", "matrices": "int", "q": "int",
+                "manifest": "manifest"},
     "manifest": {"command": "str", "field": "p^h", "modulus": "str",
                  "choices": "object", "package": "str", "version": "str",
                  "wall_time_ms": "float"},

@@ -16,6 +16,7 @@ from typing import Dict, Tuple
 from .errors import (BadExponent, DependentBasis, OddCharacteristic, SquareMu,
                      Unsupported, WrongCharacteristic, WrongResidue)
 from .ff import ExtCtx, FieldCtx, TowerElem
+from .hypersurface import build_F, uvw
 from .mpoly import MPoly
 from .quadric import OvoidSpec, rank
 
@@ -286,7 +287,6 @@ def famiglia1(ctx: FieldCtx, params: Famiglia1Params) -> OvoidSpec:
 
     e43 = m(eps, frac(4, 3))        # 4*eps/3
     e49 = m(eps, frac(4, 9))
-    e23 = m(eps, frac(2, 3))
 
     f1 = _p3(ctx, {
         (0, 0, 3): n(frac(4, 27)),
@@ -376,18 +376,22 @@ def famiglia2(ctx: FieldCtx, params: Famiglia2Params) -> OvoidSpec:
 # quadratic-extension scalars used by the displayed factorizations
 
 
+def _scan_quadratic(ext: ExtCtx, square_of, missing: str) -> TowerElem:
+    """First xi in packed order, outside the base field, with xi^2 = square_of(xi)."""
+    for e in range(ext.order):
+        c = ext.unpack(e)
+        if not ext.is_rational(c) and ext.mul(c, c) == square_of(c):
+            return TowerElem(ext, c)
+    raise Unsupported(missing)
+
+
 def find_sqrt_in_quadratic(ext: ExtCtx, value: int) -> TowerElem:
     """First xi in packed order with xi^2 = value, xi outside the base field."""
     if ext.n != 2:
         raise Unsupported("need a quadratic extension")
     target = ext.embed(value)
-    for e in range(ext.order):
-        c = ext.unpack(e)
-        if ext.is_rational(c):
-            continue
-        if ext.mul(c, c) == target:
-            return TowerElem(ext, c)
-    raise Unsupported(f"no square root of {value} outside the base field")
+    return _scan_quadratic(ext, lambda c: target,
+                           f"no square root of {value} outside the base field")
 
 
 def find_artin_schreier_unit(ext: ExtCtx) -> TowerElem:
@@ -395,13 +399,8 @@ def find_artin_schreier_unit(ext: ExtCtx) -> TowerElem:
     if ext.n != 2 or ext.base.p != 2:
         raise Unsupported("need a quadratic extension in characteristic 2")
     one = ext.embed(1)
-    for e in range(ext.order):
-        c = ext.unpack(e)
-        if ext.is_rational(c):
-            continue
-        if ext.mul(c, c) == ext.add(one, c):
-            return TowerElem(ext, c)
-    raise Unsupported("no unit with xi^2 = 1 + xi outside the base field")
+    return _scan_quadratic(ext, lambda c: ext.add(one, c),
+                           "no unit with xi^2 = 1 + xi outside the base field")
 
 
 def factorized_identity_check(family: str, ctx: FieldCtx) -> bool:
@@ -411,8 +410,6 @@ def factorized_identity_check(family: str, ctx: FieldCtx) -> bool:
     Odd case: the product times the unit 3 reproduces the polynomial;
     even case the product matches exactly.  Symbolic, over F_{q^2}.
     """
-    from .hypersurface import build_F
-
     if family not in ("2mod3_odd", "2mod3_even"):
         raise Unsupported(f"unknown family {family!r}")
     ext = ExtCtx(ctx, 2)
@@ -441,18 +438,9 @@ def factorized_identity_check(family: str, ctx: FieldCtx) -> bool:
     return f1 * f2 == F
 
 
-def _uvw(ext: ExtCtx):
-    """U, V, W = X1-X4, X2-X5, X3-X6 as 6-variable polynomials over ext."""
-    polys = []
-    for i in (0, 1, 2):
-        v = MPoly.variable(ext, 6, i) - MPoly.variable(ext, 6, i + 3)
-        polys.append(v)
-    return polys
-
-
 def _odd_factor(ext: ExtCtx, cV2, cW2) -> MPoly:
     # U + x5*W - x6*V + x5*V + 3*x6*W + cV2*V^2 + cW2*W^2
-    U, V, W = _uvw(ext)
+    U, V, W = uvw(ext)
     x5 = MPoly.variable(ext, 6, 4)
     x6 = MPoly.variable(ext, 6, 5)
     three = TowerElem(ext, ext.embed(3 % ext.base.p))
@@ -464,7 +452,7 @@ def _odd_factor(ext: ExtCtx, cV2, cW2) -> MPoly:
 def _even_factor(ext: ExtCtx, xi_coords, second: bool) -> MPoly:
     # U + a*(V+W) + b*W + xi*(V^2 + V*W + W^2)
     # a, b = (x5, x6) for the first factor and (x2, x3) for its conjugate
-    U, V, W = _uvw(ext)
+    U, V, W = uvw(ext)
     a = MPoly.variable(ext, 6, 1 if second else 4)
     b = MPoly.variable(ext, 6, 2 if second else 5)
     quad = V * V + V * W + W * W

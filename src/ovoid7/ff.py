@@ -284,35 +284,50 @@ def poly_irreducible_fp(coeffs: Sequence[int], p: int) -> bool:
     return _poly_irreducible(make_field(p, 1), [int(c) % p for c in coeffs])
 
 
-class Fe:
+class _Elem:
+    """Arithmetic shared by Fe and TowerElem: a subclass names the slot of its
+    encoding in _attr, and its _val turns the other operand into an encoding."""
+
+    __slots__ = ()
+
+    def _enc(self):
+        return getattr(self, self._attr)
+
+    def __add__(self, other):
+        return type(self)(self.ctx, self.ctx.add(self._enc(), self._val(other)))
+
+    def __sub__(self, other):
+        return type(self)(self.ctx, self.ctx.sub(self._enc(), self._val(other)))
+
+    def __neg__(self):
+        return type(self)(self.ctx, self.ctx.neg(self._enc()))
+
+    def __mul__(self, other):
+        return type(self)(self.ctx, self.ctx.mul(self._enc(), self._val(other)))
+
+    def __truediv__(self, other):
+        return type(self)(self.ctx, self.ctx.mul(self._enc(), self.ctx.inv(self._val(other))))
+
+    def __pow__(self, e: int):
+        return type(self)(self.ctx, self.ctx.pow(self._enc(), e))
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self)) and other.ctx is self.ctx
+                and other._enc() == self._enc())
+
+    def __hash__(self):
+        return hash((id(self.ctx), self._enc()))
+
+
+class Fe(_Elem):
     """An element of F_q, wrapping the integer encoding."""
 
     __slots__ = ("ctx", "v")
+    _attr = "v"
 
     def __init__(self, ctx: "FieldCtx", v: int):
         self.ctx = ctx
         self.v = v
-
-    def __add__(self, other):
-        return Fe(self.ctx, self.ctx.add(self.v, self._val(other)))
-
-    def __sub__(self, other):
-        return Fe(self.ctx, self.ctx.sub(self.v, self._val(other)))
-
-    def __neg__(self):
-        return Fe(self.ctx, self.ctx.neg(self.v))
-
-    def __mul__(self, other):
-        return Fe(self.ctx, self.ctx.mul(self.v, self._val(other)))
-
-    def __truediv__(self, other):
-        return Fe(self.ctx, self.ctx.mul(self.v, self.ctx.inv(self._val(other))))
-
-    def __pow__(self, e: int):
-        return Fe(self.ctx, self.ctx.pow(self.v, e))
-
-    def inverse(self):
-        return Fe(self.ctx, self.ctx.inv(self.v))
 
     def _val(self, other):
         if isinstance(other, Fe):
@@ -320,12 +335,6 @@ class Fe:
                 raise FieldMismatch("elements from different field contexts")
             return other.v
         raise FieldMismatch(f"cannot combine Fe with {type(other).__name__}")
-
-    def __eq__(self, other):
-        return isinstance(other, Fe) and other.ctx is self.ctx and other.v == self.v
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.v))
 
     def __int__(self):
         return self.v
@@ -384,10 +393,6 @@ class FieldCtx:
         if not 0 <= a < self.q:
             raise Unsupported(f"element encoding {a} outside [0, {self.q})")
         return Fe(self, a)
-
-    def of_int(self, n: int) -> Fe:
-        """Ring map Z -> F_q (n times the identity)."""
-        return Fe(self, n % self.p)
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.q))
@@ -589,32 +594,15 @@ def parse_field_spec(text: str) -> FieldCtx:
 # extensions
 
 
-class TowerElem:
+class TowerElem(_Elem):
     """An element of F_{q^n}, as a coordinate vector over F_q."""
 
     __slots__ = ("ctx", "coords")
+    _attr = "coords"
 
     def __init__(self, ctx: "ExtCtx", coords: Sequence[int]):
         self.ctx = ctx
         self.coords = tuple(coords)
-
-    def __add__(self, other):
-        return TowerElem(self.ctx, self.ctx.add(self.coords, self._val(other)))
-
-    def __sub__(self, other):
-        return TowerElem(self.ctx, self.ctx.sub(self.coords, self._val(other)))
-
-    def __neg__(self):
-        return TowerElem(self.ctx, self.ctx.neg(self.coords))
-
-    def __mul__(self, other):
-        return TowerElem(self.ctx, self.ctx.mul(self.coords, self._val(other)))
-
-    def __truediv__(self, other):
-        return TowerElem(self.ctx, self.ctx.mul(self.coords, self.ctx.inv(self._val(other))))
-
-    def __pow__(self, e: int):
-        return TowerElem(self.ctx, self.ctx.pow(self.coords, e))
 
     def _val(self, other):
         if isinstance(other, TowerElem):
@@ -627,19 +615,8 @@ class TowerElem:
             return self.ctx.embed(other.v)
         raise FieldMismatch(f"cannot combine TowerElem with {type(other).__name__}")
 
-    def __eq__(self, other):
-        return (isinstance(other, TowerElem) and other.ctx is self.ctx
-                and other.coords == self.coords)
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.coords))
-
     def __bool__(self):
         return any(self.coords)
-
-    @property
-    def packed(self) -> int:
-        return self.ctx.pack(self.coords)
 
     def __repr__(self):
         return f"TowerElem({list(self.coords)} in GF({self.ctx.base.q}^{self.ctx.n}))"
@@ -811,17 +788,6 @@ class ExtCtx:
             acc = self.mul(acc, c)
         return self.descend(acc)
 
-    def rel_trace(self, coords, sub_degree: int = 1) -> Tuple[int, ...]:
-        """Trace onto the intermediate field F_{q^sub_degree} (as coords)."""
-        if self.n % sub_degree:
-            raise Unsupported("no intermediate field of that degree")
-        acc = (0,) * self.n
-        c = tuple(coords)
-        for _ in range(self.n // sub_degree):
-            acc = self.add(acc, c)
-            c = self.frobenius(c, sub_degree)
-        return acc
-
     # -- packed-integer fast layer --------------------------------------------
 
     def packed_tables(self) -> dict:
@@ -848,7 +814,6 @@ class ExtCtx:
     def v_add_packed(self, a, b):
         if self.base.p == 2:
             return np.bitwise_xor(a, b)
-        t = self.packed_tables()
         q = self.q
         out = np.zeros_like(a)
         for i in range(self.n):
@@ -864,27 +829,25 @@ class ExtCtx:
             out = t["frob"][out]
         return out
 
-    def v_trace_packed(self, a):
-        """Absolute trace to F_q of packed elements, as base encodings."""
+    def _v_conjugate_fold(self, a, op, what: str):
+        """op over the n conjugates a, a^q, ..., which must land in F_q."""
         conj = a
         tot = a.copy()
         for _ in range(self.n - 1):
             conj = self.v_frobenius_packed(conj)
-            tot = self.v_add_packed(tot, conj)
+            tot = op(tot, conj)
         # rational check: higher digits vanish
         if np.any(tot >= self.q):
-            raise NotRational("trace left the base field")
+            raise NotRational(f"{what} left the base field")
         return tot
 
+    def v_trace_packed(self, a):
+        """Absolute trace to F_q of packed elements, as base encodings."""
+        return self._v_conjugate_fold(a, self.v_add_packed, "trace")
+
     def v_norm_packed(self, a):
-        conj = a
-        tot = a.copy()
-        for _ in range(self.n - 1):
-            conj = self.v_frobenius_packed(conj)
-            tot = self.v_mul_packed(tot, conj)
-        if np.any(tot >= self.q):
-            raise NotRational("norm left the base field")
-        return tot
+        """Absolute norm to F_q of packed elements, as base encodings."""
+        return self._v_conjugate_fold(a, self.v_mul_packed, "norm")
 
     def __repr__(self):
         return f"ExtCtx(GF(({self.base.p}^{self.base.h})^{self.n}))"

@@ -38,14 +38,18 @@ class HypersurfaceF:
         return self.poly.degree()
 
 
+def uvw(ctx) -> Tuple[MPoly, MPoly, MPoly]:
+    """U, V, W = X1-X4, X2-X5, X3-X6 as 6-variable polynomials over ctx."""
+    return tuple(MPoly.variable(ctx, 6, i) - MPoly.variable(ctx, 6, i + 3) for i in range(3))
+
+
 def build_F(spec: OvoidSpec) -> HypersurfaceF:
     """Expand the pair polynomial symbolically (exact)."""
     ctx = spec.ctx
     first = [f.remap_vars([0, 1, 2], 6) for f in spec.polys()]
     second = [f.remap_vars([3, 4, 5], 6) for f in spec.polys()]
     out = MPoly.zero(ctx, 6)
-    for i, fi in ((0, 2), (1, 1), (2, 0)):
-        diff = MPoly.variable(ctx, 6, i) - MPoly.variable(ctx, 6, i + 3)
+    for diff, fi in zip(uvw(ctx), (2, 1, 0)):
         out = out + diff * (second[fi] - first[fi])
     return HypersurfaceF(out, spec)
 
@@ -89,14 +93,10 @@ def affine_point_scan(F: HypersurfaceF, threads: int = 1) -> ScanReport:
     res = _pairscan.pair_scan(spec.ctx, spec.value_tables(), early_exit=False,
                               threads=threads)
     off = 2 * res.zero_pairs
-    witness = None
-    if res.first_zero is not None:
-        i, j = res.first_zero
-        witness = (_pairscan.triple_of_index(q, i), _pairscan.triple_of_index(q, j))
     return ScanReport(
         total=q ** 3 + off,
         off_diagonal=off,
-        witness=witness,
+        witness=_pairscan.witness_triples(q, res.first_zero),
         elapsed=time.perf_counter() - t0,
     )
 
@@ -123,12 +123,10 @@ class HyperplaneWitness:
 
 def _conjugate_plane(ext: ExtCtx, alpha, beta, power: int) -> MPoly:
     """(X1-X4) + alpha^(q^i) (X2-X5) + beta^(q^i) (X3-X6) over ext."""
-    a = ext.frobenius(alpha, power)
-    b = ext.frobenius(beta, power)
-    out = MPoly.variable(ext, 6, 0) - MPoly.variable(ext, 6, 3)
-    out = out + (MPoly.variable(ext, 6, 1) - MPoly.variable(ext, 6, 4)).scale(TowerElem(ext, a))
-    out = out + (MPoly.variable(ext, 6, 2) - MPoly.variable(ext, 6, 5)).scale(TowerElem(ext, b))
-    return out
+    U, V, W = uvw(ext)
+    a = TowerElem(ext, ext.frobenius(alpha, power))
+    b = TowerElem(ext, ext.frobenius(beta, power))
+    return U + V.scale(a) + W.scale(b)
 
 
 def hyperplane_product_residual(spec: OvoidSpec, witness: HyperplaneWitness) -> MPoly:
@@ -173,7 +171,7 @@ def deg2_condition_residuals(witness: HyperplaneWitness) -> list:
     al = witness.alpha.coords
     be = witness.beta.coords
     fr, mul, add, tr = ext.frobenius, ext.mul, ext.add, ext.trace
-    alq, alq2 = fr(al, 1), fr(al, 2)
+    alq = fr(al, 1)
     beq, beq2 = fr(be, 1), fr(be, 2)
     tr_a = tr(al)
     tr_b = tr(be)
@@ -240,7 +238,7 @@ def solve_deg2_system(witness: HyperplaneWitness, literal_check: bool = False) -
     add = ext.add
     tr = ext.trace
 
-    alq, alq2 = fr(al, 1), fr(al, 2)
+    alq = fr(al, 1)
     beq, beq2 = fr(be, 1), fr(be, 2)
     a1 = tr(add(mul(al, beq), mul(al, beq2)))           # xy / xz / yz coefficient
     d1, d2 = tr(be), tr(al)
@@ -309,15 +307,8 @@ class QuadricWitness:
                 raise SquareMu(f"k={self.k} is a square")
 
 
-def _uvw_terms(ctx, nvars=6):
-    U = MPoly.variable(ctx, nvars, 0) - MPoly.variable(ctx, nvars, 3)
-    V = MPoly.variable(ctx, nvars, 1) - MPoly.variable(ctx, nvars, 4)
-    W = MPoly.variable(ctx, nvars, 2) - MPoly.variable(ctx, nvars, 5)
-    return U, V, W
-
-
 def _quadric_RS(ctx, w: QuadricWitness) -> Tuple[MPoly, MPoly]:
-    U, V, W = _uvw_terms(ctx)
+    U, V, W = uvw(ctx)
     X4 = MPoly.variable(ctx, 6, 3)
     X5 = MPoly.variable(ctx, 6, 4)
     X6 = MPoly.variable(ctx, 6, 5)

@@ -163,7 +163,7 @@ class VerificationReport:
         }
 
 
-def verify_ovoid(spec: OvoidSpec, threads: int = 1, early_exit: bool = True) -> VerificationReport:
+def verify_ovoid(spec: OvoidSpec, threads: int = 1) -> VerificationReport:
     """Exhaustive pairwise check of the candidate point set.
 
     The witness, when present, is the first violating pair in scan order
@@ -173,14 +173,10 @@ def verify_ovoid(spec: OvoidSpec, threads: int = 1, early_exit: bool = True) -> 
     if ctx.q > VERIFY_Q_LIMIT:
         raise Unsupported(f"verification supports q <= {VERIFY_Q_LIMIT}")
     t0 = time.perf_counter()
-    res = _pairscan.pair_scan(ctx, spec.value_tables(), early_exit=early_exit, threads=threads)
-    witness = None
-    if res.first_zero is not None:
-        i, j = res.first_zero
-        witness = (_pairscan.triple_of_index(ctx.q, i), _pairscan.triple_of_index(ctx.q, j))
+    res = _pairscan.pair_scan(ctx, spec.value_tables(), early_exit=True, threads=threads)
     return VerificationReport(
         is_ovoid=res.first_zero is None,
-        witness=witness,
+        witness=_pairscan.witness_triples(ctx.q, res.first_zero),
         pairs_checked=res.pairs_checked,
         elapsed=time.perf_counter() - t0,
         q=ctx.q,
@@ -192,18 +188,20 @@ def verify_ovoid(spec: OvoidSpec, threads: int = 1, early_exit: bool = True) -> 
 # spread correspondence
 
 
+def _point_values(spec: OvoidSpec, t: Triple):
+    """(x, y, z, f1, f2, f3) at the triple t."""
+    x, y, z = (int(v) % spec.ctx.q for v in t)
+    return (x, y, z) + tuple(int(f.eval_raw((x, y, z))) for f in spec.polys())
+
+
 def spread_space(spec: OvoidSpec, t: Triple) -> List[List[int]]:
     """Coefficient rows of the four linear forms cutting out the solid S_P.
 
     Row r is (c0..c7) with sum(c_i X_i) = 0.  The solutions form a
     4-dimensional totally singular subspace for any triple values.
     """
-    ctx = spec.ctx
-    x, y, z = (int(v) % ctx.q for v in t)
-    a = int(spec.f1.eval_raw((x, y, z)))
-    b = int(spec.f2.eval_raw((x, y, z)))
-    c = int(spec.f3.eval_raw((x, y, z)))
-    n = ctx.neg
+    x, y, z, a, b, c = _point_values(spec, t)
+    n = spec.ctx.neg
     return [
         [1, 0, 0, 0, n(z), y, n(x), 0],
         [0, 1, 0, 0, n(b), n(a), 0, x],
@@ -214,29 +212,14 @@ def spread_space(spec: OvoidSpec, t: Triple) -> List[List[int]]:
 
 def spread_space_basis(spec: OvoidSpec, t: Triple) -> List[List[int]]:
     """A basis of the solution space of spread_space(spec, t)."""
-    ctx = spec.ctx
-    x, y, z = (int(v) % ctx.q for v in t)
-    a = int(spec.f1.eval_raw((x, y, z)))
-    b = int(spec.f2.eval_raw((x, y, z)))
-    c = int(spec.f3.eval_raw((x, y, z)))
-    n = ctx.neg
+    x, y, z, a, b, c = _point_values(spec, t)
+    n = spec.ctx.neg
     return [
         [z, b, c, 0, 1, 0, 0, 0],
         [n(y), a, 0, n(c), 0, 1, 0, 0],
         [x, 0, n(a), n(b), 0, 0, 1, 0],
         [0, n(x), y, n(z), 0, 0, 0, 1],
     ]
-
-
-def infinity_space_rows() -> List[List[int]]:
-    """Constraint rows of the solid paired with the point at infinity:
-    X4 = X5 = X6 = X7 = 0."""
-    rows = []
-    for i in (4, 5, 6, 7):
-        row = [0] * 8
-        row[i] = 1
-        rows.append(row)
-    return rows
 
 
 def infinity_space_basis() -> List[List[int]]:
@@ -379,33 +362,6 @@ def kerdock_set(spec: OvoidSpec) -> KerdockSet:
     return KerdockSet(ctx, (xs, ys, zs), (xs, ctx.v_sub(0, ys), zs, f1, f2, f3))
 
 
-def pfaffian4(ctx: FieldCtx, upper: Sequence[int]) -> int:
-    """Pfaffian of a 4x4 skew matrix given (m01, m02, m03, m12, m13, m23)."""
-    m01, m02, m03, m12, m13, m23 = upper
-    acc = ctx.mul(m01, m23)
-    acc = ctx.sub(acc, ctx.mul(m02, m13))
-    return ctx.add(acc, ctx.mul(m03, m12))
-
-
-def det4(ctx: FieldCtx, m: Sequence[Sequence[int]]) -> int:
-    """Cofactor-expansion determinant; the slow cross-check for pfaffian4."""
-    idx = list(range(4))
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return m[rows[0]][cols[0]]
-        acc = 0
-        sign = 1
-        for k, c in enumerate(cols):
-            sub = det(rows[1:], cols[:k] + cols[k + 1:])
-            term = ctx.mul(m[rows[0]][c], sub)
-            acc = ctx.add(acc, term if sign > 0 else ctx.neg(term))
-            sign = -sign
-        return acc
-
-    return det(idx, idx)
-
-
 def kerdock_check(mats: Sequence[KerdockMatrix], threads: int = 1) -> bool:
     """True iff every difference of two distinct matrices is nonsingular.
 
@@ -495,7 +451,7 @@ def generator_point_sets(ctx: FieldCtx, generators=None) -> List[frozenset]:
 
 @functools.lru_cache(maxsize=4)
 def _generator_point_sets_cached(ctx: FieldCtx) -> List[frozenset]:
-    return [frozenset(subspace_points(ctx, list(g))) for g in enumerate_generators(ctx)]
+    return generator_point_sets(ctx, enumerate_generators(ctx))
 
 
 def meets_every_generator_once(spec: OvoidSpec, gen_sets=None) -> bool:

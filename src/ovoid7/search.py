@@ -441,7 +441,6 @@ def recognize_kantor_even(spec: OvoidSpec):
     for ap in alphas:
         al = ext.unpack(int(ap))
         alq = ext.frobenius(al, 1)
-        alq2 = ext.frobenius(al, 2)
         for bp in betas:
             be = ext.unpack(int(bp))
             beq = ext.frobenius(be, 1)

@@ -253,6 +253,33 @@ def test_help_schemas():
     assert "verify" in schemas and "manifest" in schemas
 
 
+def test_every_report_matches_its_schema(tmp_path, capsys):
+    from ovoid7.cli import main
+
+    schemas = json.loads(run("--help-schemas").stdout)
+    ke = str(tmp_path / "ke4.txt")
+    f1 = str(tmp_path / "f1.txt")
+    calls = {
+        "construct": ["construct", "--family", "kantor-even", "--q", "4", "--spec-out", ke],
+        "verify": ["verify", "--q", "2", "--spec", SPEC_KS2],
+        "kerdock": ["kerdock", "--family", "kantor-simple", "--q", "2"],
+        "search": ["search", "--q", "2", "--restriction", "homogeneous-top"],
+        "build": ["hypersurface", "--q", "2", "--spec", SPEC_KS2, "--action", "build"],
+        "scan": ["hypersurface", "--q", "2", "--spec", SPEC_KS2, "--action", "scan"],
+        "plane-check": ["hypersurface", "--q", "4", "--spec", ke, "--action", "plane-check"],
+        "quadric-check": ["hypersurface", "--q", "5", "--spec", f1, "--action", "quadric-check"],
+        "bounds": ["hypersurface", "--q", "7", "--action", "bounds", "--r", "5", "--d", "3"],
+    }
+    assert set(schemas) == set(calls) | {"manifest"}
+    assert main(["construct", "--family", "famiglia1", "--q", "5", "--spec-out", f1]) == 0
+    capsys.readouterr()
+    for name, argv in calls.items():
+        assert main(argv + ["--no-timing", "--threads", "1"]) in (0, 1), name
+        report = json.loads(capsys.readouterr().out)
+        assert set(report) == set(schemas[name]), name
+        assert set(report["manifest"]) == set(schemas["manifest"]), name
+
+
 def test_threads_default_counts_usable_cpus():
     from ovoid7.cli import build_parser
 

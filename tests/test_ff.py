@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovoid7.errors import CompositeP, NotRational, Unsupported
-from ovoid7.ff import (DEFAULT_MODULI, ExtCtx, FieldCtx, _mul_reduce, _poly_inv_mod,
-                       frobenius, make_field, parse_field_spec, poly_irreducible_fp,
+from ovoid7.errors import CompositeP, FieldMismatch, NotRational, Unsupported
+from ovoid7.ff import (DEFAULT_MODULI, ExtCtx, Fe, FieldCtx, TowerElem, _mul_reduce,
+                       _poly_inv_mod, frobenius, make_field, parse_field_spec, poly_irreducible_fp,
                        rel_norm, rel_trace)
 
 
@@ -351,3 +351,40 @@ def test_degree_one_extension_is_the_base_field():
         for b in range(3):
             assert ext.mul((a,), (b,)) == (ctx.mul(a, b),)
         assert ext.inv((a,)) == (ctx.inv(a),)
+
+
+def test_element_wrapper_rules():
+    ctx, other = make_field(5, 1), make_field(7, 1)
+    ext, other_ext = ExtCtx(ctx, 2), ExtCtx(ctx, 2)
+    a, b = ctx.element(3), ctx.element(4)
+    x, y = ext.element([2, 3]), ext.element([1, 4])
+    ops = (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v, lambda u, v: u / v)
+    for op in ops:
+        # Fe combines only with an Fe of its own field
+        for bad in (other.element(3), 3, x):
+            with pytest.raises(FieldMismatch):
+                op(a, bad)
+        # TowerElem embeds an Fe of its base field and refuses everything else
+        assert op(x, b) == op(x, ext.embed_elem(b))
+        for bad in (other.element(3), 3, other_ext.element([2, 3])):
+            with pytest.raises(FieldMismatch):
+                op(x, bad)
+    # the two wrappers never compare equal, not even for n = 1
+    one_ext = ExtCtx(ctx, 1)
+    assert a != ext.embed_elem(a) and ext.embed_elem(a) != a
+    assert ctx.element(1) != one_ext.one() and one_ext.one() != ctx.element(1)
+    assert a != 3 and x != (2, 3)
+    # equal elements hash equally
+    assert Fe(ctx, 3) == a and hash(Fe(ctx, 3)) == hash(a)
+    assert TowerElem(ext, [2, 3]) == x and hash(TowerElem(ext, (2, 3))) == hash(x)
+    assert len({a, Fe(ctx, 3), x, ext.element((2, 3))}) == 2
+    # division and negative powers
+    assert (a / b) * b == a and a ** -1 * a == ctx.element(1) and a ** -2 == (a * a) ** -1
+    assert (x / y) * y == x and x ** -1 * x == ext.one() and x ** -3 == (x ** 3) ** -1
+    with pytest.raises(ZeroDivisionError):
+        a / ctx.element(0)
+    with pytest.raises(ZeroDivisionError):
+        x / ext.zero()
+    assert (-a).v == 2 and (-x).coords == (3, 2)
+    assert int(a) == 3 and bool(x) and not ctx.element(0) and not ext.zero()
+    assert repr(a) == "Fe(3 in GF(5))" and repr(x) == "TowerElem([2, 3] in GF(5^2))"

@@ -86,7 +86,7 @@ def test_kernel_matches_scalar_oracle(q, monkeypatch):
             monkeypatch.setattr(_pairscan, "BLOCK_ELEMS", block)
             monkeypatch.setattr(_pairscan, "STEP_ELEMS", step)
             rows_per_block = max(1, block // n)
-            for threads in (1, 2):
+            for threads in (1, 2, 3):
                 full = _pairscan.pair_scan(spec.ctx, tables, early_exit=False, threads=threads)
                 assert (full.zero_pairs, full.first_zero) == (count, first)
                 assert full.pairs_checked == n * (n - 1) // 2
@@ -100,9 +100,10 @@ def test_kernel_matches_scalar_oracle(q, monkeypatch):
             monkeypatch.undo()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_early_exit_past_first_block_q16(threads):
-    # q = 16: n = 4096 triples, 512 rows per block, 8 blocks.  Kantor-simple
+    # q = 16: n = 4096 triples, 512 rows per block, 8 blocks (three threads
+    # take them in batches of 3, 3 and 2).  Kantor-simple
     # is an ovoid there; copying triple i onto triple j makes (i, j) the
     # only zero pair, since every other pair still joins two ovoid points.
     spec = kantor_simple(make_field(2, 4))

@@ -10,11 +10,11 @@ from ovoid7.errors import NonzeroAtOrigin, Unsupported
 from ovoid7.ff import make_field
 from ovoid7.mpoly import MPoly
 from ovoid7.families import kantor_simple, kantor_2mod3_even, thas_kantor
-from ovoid7.quadric import (KerdockMatrix, OvoidSpec, bilinear, collinearity_value, det4,
+from ovoid7.quadric import (KerdockMatrix, OvoidSpec, bilinear, collinearity_value,
                             enumerate_generators, generator_point_sets,
                             infinity_space_basis, kerdock_check, kerdock_set,
                             meets_every_generator_once, normalize_point,
-                            ovoid_points, pfaffian4, quadric_value, rank,
+                            ovoid_points, quadric_value, rank,
                             spread_space, spread_space_basis, subspace_points,
                             verify_ovoid)
 
@@ -35,6 +35,33 @@ def rand_spec(ctx, rng, max_deg=3):
             d[m] = rng.randrange(ctx.q)
         polys.append(MPoly.from_dict(ctx, 3, d))
     return OvoidSpec(ctx, *polys)
+
+
+def pfaffian4(ctx, upper):
+    """Pfaffian of a 4x4 skew matrix given (m01, m02, m03, m12, m13, m23)."""
+    m01, m02, m03, m12, m13, m23 = upper
+    acc = ctx.mul(m01, m23)
+    acc = ctx.sub(acc, ctx.mul(m02, m13))
+    return ctx.add(acc, ctx.mul(m03, m12))
+
+
+def det4(ctx, m):
+    """Cofactor-expansion determinant; the slow cross-check for pfaffian4."""
+    idx = list(range(4))
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            return m[rows[0]][cols[0]]
+        acc = 0
+        sign = 1
+        for k, c in enumerate(cols):
+            sub = det(rows[1:], cols[:k] + cols[k + 1:])
+            term = ctx.mul(m[rows[0]][c], sub)
+            acc = ctx.add(acc, term if sign > 0 else ctx.neg(term))
+            sign = -sign
+        return acc
+
+    return det(idx, idx)
 
 
 SMALL_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
