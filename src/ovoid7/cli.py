@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -417,9 +418,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """This process's parser, built on the first `main` call; parsing keeps
+    no state in it, so every later call reuses it."""
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    ap = build_parser()
+    ap = _parser()
     args = ap.parse_args(argv)
     if args.help_schemas:
         print(json.dumps(SCHEMAS, indent=2))

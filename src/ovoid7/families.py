@@ -378,6 +378,7 @@ def famiglia2(ctx: FieldCtx, params: Famiglia2Params) -> OvoidSpec:
 
 def _scan_quadratic(ext: ExtCtx, square_of, missing: str) -> TowerElem:
     """First xi in packed order, outside the base field, with xi^2 = square_of(xi)."""
+    ext.check_scannable()
     for e in range(ext.order):
         c = ext.unpack(e)
         if not ext.is_rational(c) and ext.mul(c, c) == square_of(c):

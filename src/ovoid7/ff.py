@@ -628,8 +628,6 @@ class ExtCtx:
     def __init__(self, base: FieldCtx, n: int, modulus: Optional[Sequence[int]] = None):
         if n not in (1, 2, 3, 4):
             raise Unsupported("extension degree must be 1..4")
-        if base.q ** n > MAX_ORDER:
-            raise Unsupported(f"extension order {base.q ** n} exceeds 2^20")
         self.base = base
         self.n = n
         self.q = base.q
@@ -790,10 +788,17 @@ class ExtCtx:
 
     # -- packed-integer fast layer --------------------------------------------
 
+    def check_scannable(self) -> None:
+        """Packed tables and element-by-element scans stop at 2^20 elements;
+        tuple arithmetic has no such limit."""
+        if self.order > MAX_ORDER:
+            raise Unsupported(f"extension order {self.order} exceeds 2^20")
+
     def packed_tables(self) -> dict:
         """log/exp, Frobenius and trace tables over packed integers."""
         if self._packed:
             return self._packed
+        self.check_scannable()
         N = self.order
         tabs = _primitive_tables(self.base, self._red, self.n)
         expx = tabs["expx"]

@@ -13,6 +13,7 @@ candidate set is an ovoid exactly when F has no other rational zeros.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -30,8 +31,21 @@ SCAN_BUDGET = 10 ** 9
 
 @dataclass
 class HypersurfaceF:
-    poly: MPoly                 # 6 variables over the base field
+    """The pair polynomial of a triple; `poly` is expanded on first use, so
+    a point scan, which reads only the triple's value tables, never expands it."""
+
     spec: OvoidSpec
+
+    @functools.cached_property
+    def poly(self) -> MPoly:
+        """F in 6 variables over the base field (exact)."""
+        ctx = self.spec.ctx
+        first = [f.remap_vars([0, 1, 2], 6) for f in self.spec.polys()]
+        second = [f.remap_vars([3, 4, 5], 6) for f in self.spec.polys()]
+        out = MPoly.zero(ctx, 6)
+        for diff, fi in zip(uvw(ctx), (2, 1, 0)):
+            out = out + diff * (second[fi] - first[fi])
+        return out
 
     @property
     def degree(self) -> int:
@@ -44,14 +58,8 @@ def uvw(ctx) -> Tuple[MPoly, MPoly, MPoly]:
 
 
 def build_F(spec: OvoidSpec) -> HypersurfaceF:
-    """Expand the pair polynomial symbolically (exact)."""
-    ctx = spec.ctx
-    first = [f.remap_vars([0, 1, 2], 6) for f in spec.polys()]
-    second = [f.remap_vars([3, 4, 5], 6) for f in spec.polys()]
-    out = MPoly.zero(ctx, 6)
-    for diff, fi in zip(uvw(ctx), (2, 1, 0)):
-        out = out + diff * (second[fi] - first[fi])
-    return HypersurfaceF(out, spec)
+    """The pair polynomial of `spec`, expanded symbolically on first use of `.poly`."""
+    return HypersurfaceF(spec)
 
 
 def diagonal_restriction(F: HypersurfaceF) -> MPoly:

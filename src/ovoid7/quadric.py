@@ -356,8 +356,11 @@ class KerdockSet(Sequence):
 
 def kerdock_set(spec: OvoidSpec) -> KerdockSet:
     """One matrix per parameter triple, in scan order:
-    m01 = x, m02 = -y, m03 = z, m12 = f1, m13 = f2, m23 = f3."""
+    m01 = x, m02 = -y, m03 = z, m12 = f1, m13 = f2, m23 = f3.  Like
+    verification, the O(q^6) check stops at q = VERIFY_Q_LIMIT."""
     ctx = spec.ctx
+    if ctx.q > VERIFY_Q_LIMIT:
+        raise Unsupported(f"kerdock check supports q <= {VERIFY_Q_LIMIT}")
     xs, ys, zs, f1, f2, f3 = spec.value_tables()
     return KerdockSet(ctx, (xs, ys, zs), (xs, ctx.v_sub(0, ys), zs, f1, f2, f3))
 

@@ -20,7 +20,7 @@ from . import _pairscan
 from .errors import BudgetExceeded, DependentBasis, Unsupported
 from .ff import ExtCtx, FieldCtx, TowerElem
 from .mpoly import MPoly, pack_exps, unpack_exps
-from .quadric import OvoidSpec, rank
+from .quadric import OvoidSpec
 
 
 def triple_monomials(max_degree: int) -> List[Tuple[int, int, int]]:
@@ -296,12 +296,31 @@ class WitnessSearchReport:
         }
 
 
+def _independent_of_one(ext: ExtCtx, alphas, betas):
+    """Mask of the packed pairs with {1, alpha, beta} independent over F_q.
+
+    embed(1) = (1, 0, ..., 0), so the set is independent iff the
+    coordinates 1..n-1 of alpha and beta have rank 2: some 2x2 minor
+    a_i b_j - a_j b_i is nonzero.
+    """
+    base = ext.base
+    q = ext.q
+    a = [(alphas // q ** i) % q for i in range(1, ext.n)]
+    b = [(betas // q ** i) % q for i in range(1, ext.n)]
+    out = np.zeros(np.shape(alphas), dtype=bool)
+    for i, j in itertools.combinations(range(ext.n - 1), 2):
+        out |= base.v_sub(base.v_mul(a[i], b[j]), base.v_mul(a[j], b[i])) != 0
+    return out
+
+
 def hyperplane_witness_search(ext: ExtCtx, budget: int = 10 ** 8) -> WitnessSearchReport:
     """Scan all (alpha, beta) pairs of the quartic extension against the
     trace conditions forced by a four-hyperplane split.
 
     Returns independent witnesses (none exist) plus a count of the pairs
-    that satisfy the traces with {1, alpha, beta} dependent.
+    that satisfy the traces with {1, alpha, beta} dependent.  Conditions
+    3-6 are evaluated at once on the (alpha, beta) grid of the elements
+    that pass the single-element condition, alpha along rows.
     """
     if ext.n != 4:
         raise Unsupported("the four-hyperplane case lives in a quartic extension")
@@ -316,10 +335,6 @@ def hyperplane_witness_search(ext: ExtCtx, budget: int = 10 ** 8) -> WitnessSear
     mul = ext.v_mul_packed
     add = ext.v_add_packed
 
-    a1 = fr(a)
-    a2 = fr(a1)
-    a3 = fr(a2)
-
     def tr4(x):
         acc = x
         y = x
@@ -331,51 +346,32 @@ def hyperplane_witness_search(ext: ExtCtx, budget: int = 10 ** 8) -> WitnessSear
     def tr42(x):
         return add(x, fr(fr(x)))
 
+    a1 = fr(a)
+    a2 = fr(a1)
     # single-element condition: Tr_4(x^{q+1}) + Tr_{4/2}(x^{q^2+1}) = 0
-    cond_single = add(tr4(mul(a, a1)), tr42(mul(a, a2))) == 0
-    cands = np.flatnonzero(cond_single)
-    conj = {0: a, 1: a1, 2: a2, 3: a3}
-
-    independent: List[Tuple[TowerElem, TowerElem]] = []
-    dependent = 0
-    bc = cands
-    b1 = a1[bc]
-    b2 = a2[bc]
-    b3 = a3[bc]
-    b0 = a[bc]
-    sum_b123 = add(add(b1, b2), b3)
-    b32 = mul(b3, b2)
-    b31 = mul(b3, b1)
-    b21 = mul(b2, b1)
-    sum_bq2q_etc = add(add(b21, b31), b32)      # beta^{q^2+q} + beta^{q^3+q} + beta^{q^3+q^2}
-    base = ext.base
-
-    for alpha_packed in cands:
-        al = [int(conj[i][alpha_packed]) for i in range(4)]
-        al_cross = add(add(mul(np.int64(al[2]), np.int64(al[1])),
-                           mul(np.int64(al[3]), np.int64(al[1]))),
-                       mul(np.int64(al[3]), np.int64(al[2])))
-        # cond3: Tr_4(alpha^{q+1} beta^{q^3+q^2}) + Tr_{4/2}(alpha^{q^2+1} beta^{q^3+q}) = 0
-        c3 = add(tr4(mul(np.int64(ext.pack(ext.mul(ext.unpack(al[0]), ext.unpack(al[1])))), b32)),
-                 tr42(mul(np.int64(ext.pack(ext.mul(ext.unpack(al[0]), ext.unpack(al[2])))), b31)))
-        # cond4: Tr_4(alpha (beta^q + beta^{q^2} + beta^{q^3})) = 0
-        c4 = tr4(mul(np.int64(al[0]), sum_b123))
-        # cond5: Tr_4(beta (alpha^{q^2+q} + alpha^{q^3+q} + alpha^{q^3+q^2})) = 0
-        c5 = tr4(mul(b0, al_cross))
-        # cond6: Tr_4(alpha (beta^{q^2+q} + beta^{q^3+q} + beta^{q^3+q^2})) = 0
-        c6 = tr4(mul(np.int64(al[0]), sum_bq2q_etc))
-        ok = (c3 == 0) & (c4 == 0) & (c5 == 0) & (c6 == 0)
-        for row in np.flatnonzero(ok):
-            beta_packed = int(bc[row])
-            rows = [ext.embed(1), ext.unpack(int(alpha_packed)), ext.unpack(beta_packed)]
-            if rank(base, rows) == 3:
-                independent.append((ext.from_packed(int(alpha_packed)),
-                                    ext.from_packed(beta_packed)))
-            else:
-                dependent += 1
+    x0 = np.flatnonzero(add(tr4(mul(a, a1)), tr42(mul(a, a2))) == 0)
+    x1 = fr(x0)
+    x2 = fr(x1)
+    x3 = fr(x2)
+    sum_123 = add(add(x1, x2), x3)                           # x^q + x^{q^2} + x^{q^3}
+    cross = add(add(mul(x2, x1), mul(x3, x1)), mul(x3, x2))  # x^{q^2+q} + x^{q^3+q} + x^{q^3+q^2}
+    # conditions 3-6 on the grid: alpha along rows, beta along columns
+    # cond3: Tr_4(alpha^{q+1} beta^{q^3+q^2}) + Tr_{4/2}(alpha^{q^2+1} beta^{q^3+q}) = 0
+    c3 = add(tr4(mul(mul(x0, x1)[:, None], mul(x3, x2)[None, :])),
+             tr42(mul(mul(x0, x2)[:, None], mul(x3, x1)[None, :])))
+    # cond4: Tr_4(alpha (beta^q + beta^{q^2} + beta^{q^3})) = 0
+    c4 = tr4(mul(x0[:, None], sum_123[None, :]))
+    # cond5: Tr_4(beta (alpha^{q^2+q} + alpha^{q^3+q} + alpha^{q^3+q^2})) = 0
+    c5 = tr4(mul(cross[:, None], x0[None, :]))
+    # cond6: Tr_4(alpha (beta^{q^2+q} + beta^{q^3+q} + beta^{q^3+q^2})) = 0
+    c6 = tr4(mul(x0[:, None], cross[None, :]))
+    rows, cols = np.nonzero((c3 == 0) & (c4 == 0) & (c5 == 0) & (c6 == 0))
+    alphas, betas = x0[rows], x0[cols]
+    indep = _independent_of_one(ext, alphas, betas)
     return WitnessSearchReport(
-        independent_pairs=independent,
-        dependent_pairs=dependent,
+        independent_pairs=[(ext.from_packed(int(x)), ext.from_packed(int(y)))
+                           for x, y in zip(alphas[indep], betas[indep])],
+        dependent_pairs=int(np.count_nonzero(~indep)),
         pairs_scanned=N * N,
         elapsed=time.perf_counter() - t0,
     )

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
 SPEC_KS2 = os.path.join(GOLDEN, "kantor_simple_q2.spec")
@@ -321,3 +323,91 @@ def test_ree_tits_past_exponent_cap_is_unsupported():
     assert r.returncode == 3        # EXIT_UNSUPPORTED
     assert r.stdout == ""
     assert "exponent cap" in r.stderr
+
+
+# -- limits ----------------------------------------------------------------------
+
+
+def test_kerdock_above_verify_limit_is_unsupported():
+    import time
+
+    for family in ("kantor-simple", "kantor-even"):
+        t0 = time.perf_counter()
+        r = run("kerdock", "--family", family, "--q", "128", "--threads", "1")
+        assert time.perf_counter() - t0 < 30, family      # refused, not attempted
+        assert r.returncode == 3, family                  # EXIT_UNSUPPORTED
+        assert r.stdout == ""
+        assert "q <= 64" in r.stderr
+
+
+def test_construct_kantor_even_above_table_order():
+    # q^3 > 2^20: the construction needs only tuple arithmetic
+    for q in ("128", "256"):
+        r = run("construct", "--family", "kantor-even", "--q", q, "--no-timing")
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["spec_lines"] == ["x^2+x*y+y^2+z^2", "x^2+x*z+y^2",
+                                                      "x^2+y*z"]
+
+
+# -- the parser is built once per process -----------------------------------------
+
+
+def test_parser_built_on_first_call_only(monkeypatch, capsys):
+    from ovoid7 import cli
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(os.path.join(HERE, "..", "src"))
+    probe = subprocess.run(
+        [sys.executable, "-c", "import ovoid7.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True, text=True, env=env)
+    assert probe.stdout.strip() == "0"              # not built at import
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert cli.main(["verify", "--q", "2", "--spec", SPEC_KS2, "--no-timing"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+def test_cached_parser_keeps_no_per_call_state(tmp_path, capsys):
+    from ovoid7.cli import main
+
+    assert main(["construct", "--family", "kantor-even", "--q", "4", "--param", "alpha=[1,1,0]",
+                 "--no-timing"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["manifest"]["choices"]["alpha"] == [1, 1, 0]
+    argv = ["construct", "--family", "kantor-even", "--q", "4", "--no-timing"]
+    assert main(argv) == 0
+    second = capsys.readouterr().out
+    assert json.loads(second)["manifest"]["choices"]["alpha"] == [0, 1, 0]
+    assert second == run(*argv).stdout
+    # a failed parse, then a valid call
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ovoid7 verify") and "--spec" in err
+    argv = ["verify", "--q", "2", "--spec", SPEC_KS2, "--no-timing"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == run(*argv).stdout
+
+
+def test_help_from_cached_parser_matches_fresh_parser(capsys):
+    from ovoid7.cli import build_parser, main
+
+    fresh = build_parser()
+    sub = next(a for a in fresh._actions if a.dest == "cmd").choices
+    for argv, parser in [([], fresh)] + [([cmd], p) for cmd, p in sub.items()]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == parser.format_help(), argv

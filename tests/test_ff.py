@@ -388,3 +388,15 @@ def test_element_wrapper_rules():
     assert (-a).v == 2 and (-x).coords == (3, 2)
     assert int(a) == 3 and bool(x) and not ctx.element(0) and not ext.zero()
     assert repr(a) == "Fe(3 in GF(5))" and repr(x) == "TowerElem([2, 3] in GF(5^2))"
+
+
+def test_extension_order_limit_applies_to_tables_only():
+    from ovoid7.families import find_artin_schreier_unit
+
+    ext = ExtCtx(make_field(2, 7), 3)               # 2^21 elements
+    t = ext.gen()
+    assert ext.mul((t * t).coords, t.coords) == ext.pow(t.coords, 3)
+    with pytest.raises(Unsupported, match=r"extension order 2097152 exceeds 2\^20"):
+        ext.packed_tables()
+    with pytest.raises(Unsupported, match=r"extension order 4194304 exceeds 2\^20"):
+        find_artin_schreier_unit(ExtCtx(make_field(2, 11), 2))

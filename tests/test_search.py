@@ -5,6 +5,7 @@ import itertools
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from ovoid7.errors import BudgetExceeded, Unsupported
 from ovoid7.ff import ExtCtx, make_field
 from ovoid7.mpoly import MPoly
 from ovoid7.families import default_tower_basis, kantor_even, kantor_simple
-from ovoid7.quadric import OvoidSpec, verify_ovoid
+from ovoid7.quadric import OvoidSpec, rank, verify_ovoid
 from ovoid7.search import (SearchConfig, exhaustive_triple_search,
                            hyperplane_witness_search, index_of_spec,
                            recognize_kantor_even, spec_from_index,
@@ -209,8 +210,38 @@ def test_hyperplane_witness_search_q3_empty():
     ext = ExtCtx(make_field(3, 1), 4)
     rep = hyperplane_witness_search(ext)
     assert rep.independent_pairs == []
-    assert rep.dependent_pairs > 0
+    assert rep.dependent_pairs == 73
     assert rep.pairs_scanned == 81 * 81
+
+
+def test_hyperplane_witness_search_q9_pinned():
+    rep = hyperplane_witness_search(ExtCtx(make_field(3, 2), 4))
+    assert rep.independent_pairs == []
+    assert rep.dependent_pairs == 1745
+    assert rep.pairs_scanned == 6561 * 6561
+
+
+@pytest.mark.parametrize("p,h,n", [(3, 2, 4), (3, 1, 4), (2, 2, 3)])
+def test_independence_mask_matches_rank(p, h, n):
+    """The 2x2-minor test against Gaussian elimination; the real search has
+    no independent pair, so random and deliberately dependent pairs are used."""
+    ext = ExtCtx(make_field(p, h), n)
+    base = ext.base
+    rng = random.Random(9)
+    pairs = [(rng.randrange(ext.order), rng.randrange(ext.order)) for _ in range(300)]
+    for _ in range(100):
+        al = rng.randrange(ext.order)
+        c, d = rng.randrange(base.q), rng.randrange(base.q)
+        beta = ext.add(ext.embed(c), tuple(base.mul(d, x) for x in ext.unpack(al)))
+        pairs.append((al, ext.pack(beta)))                                # beta = c + d alpha
+        pairs.append((rng.randrange(base.q), rng.randrange(ext.order)))  # alpha in F_q
+    alphas = np.array([x for x, _ in pairs], dtype=np.int64)
+    betas = np.array([y for _, y in pairs], dtype=np.int64)
+    mask = search._independent_of_one(ext, alphas, betas)
+    expect = [rank(base, [ext.embed(1), ext.unpack(x), ext.unpack(y)]) == 3 for x, y in pairs]
+    assert mask.tolist() == expect
+    assert not any(expect[300:])
+    assert any(expect)
 
 
 def test_hyperplane_witness_search_guards():
