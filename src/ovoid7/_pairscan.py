@@ -48,6 +48,7 @@ import numpy as np
 from .errors import Unsupported
 from .ff import FieldCtx
 
+Q_LIMIT = 64             # an O(q^6) scan at q = 128 visits about 2 * 10^12 pairs
 BLOCK_ELEMS = 1 << 21
 STEP_ELEMS = 1 << 15
 

@@ -38,6 +38,7 @@ SCHEMAS = {
         "is_ovoid": "bool",
         "witness": "[[x1,y1,z1],[x2,y2,z2]] | null",
         "pairs_checked": "int",
+        "route": '"difference" | "pair-scan"',
         "elapsed_ms": "float",
         "q": "int",
         "degree": "int",
@@ -46,7 +47,8 @@ SCHEMAS = {
     "build": {"degree": "int", "terms": "int", "diagonal_vanishes": "bool",
               "polynomial": "str", "manifest": "manifest"},
     "scan": {"total": "int", "off_diagonal": "int", "witness": "pair | null",
-             "elapsed_ms": "float", "manifest": "manifest"},
+             "route": '"difference" | "pair-scan"', "elapsed_ms": "float",
+             "manifest": "manifest"},
     "plane-check": {"residual_zero": "bool", "residual_terms": "int",
                     "alpha": "[int]", "beta": "[int]", "manifest": "manifest"},
     "quadric-check": {"residual_zero": "bool", "residual_terms": "int",

@@ -19,14 +19,12 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Optional, Tuple
 
-from . import _pairscan
+from . import _diffroute, _pairscan
 from .errors import (DependentBasis, NotAQuadricPair, OddCharacteristic,
                      SquareMu, Unsupported, WrongCharacteristic, WrongResidue)
 from .ff import ExtCtx, FieldCtx, TowerElem
 from .mpoly import MPoly
 from .quadric import OvoidSpec, rank
-
-SCAN_BUDGET = 10 ** 9
 
 
 @dataclass
@@ -75,12 +73,14 @@ class ScanReport:
     off_diagonal: int
     witness: Optional[Tuple[Tuple[int, int, int], Tuple[int, int, int]]]
     elapsed: float
+    route: str
 
     def to_json_dict(self) -> dict:
         return {
             "total": self.total,
             "off_diagonal": self.off_diagonal,
             "witness": [list(self.witness[0]), list(self.witness[1])] if self.witness else None,
+            "route": self.route,
             "elapsed_ms": round(self.elapsed * 1000.0, 3),
         }
 
@@ -89,23 +89,22 @@ def affine_point_scan(F: HypersurfaceF, threads: int = 1) -> ScanReport:
     """Exact zero counts of F over the affine 6-space.
 
     The q^3 diagonal points are always zeros; off-diagonal zeros come in
-    symmetric pairs, counted via one pass over unordered index pairs.
-    The witness is the first off-diagonal zero in scan order and matches
-    the verification witness when one exists.
+    symmetric pairs, counted on the pair kernel over unordered index pairs
+    or, for triples of p-weight <= 2, on the difference route.  The witness
+    is the verification witness: the first off-diagonal zero in scan order,
+    or the difference route's first_zero above the pair route's limit.
     """
     spec = F.spec
     q = spec.ctx.q
-    if q ** 6 > SCAN_BUDGET:
-        raise Unsupported(f"scan of q^6 = {q ** 6} points exceeds budget {SCAN_BUDGET}")
     t0 = time.perf_counter()
-    res = _pairscan.pair_scan(spec.ctx, spec.value_tables(), early_exit=False,
-                              threads=threads)
+    route, res = _diffroute.exact_scan(spec, early_exit=False, threads=threads)
     off = 2 * res.zero_pairs
     return ScanReport(
         total=q ** 3 + off,
         off_diagonal=off,
         witness=_pairscan.witness_triples(q, res.first_zero),
         elapsed=time.perf_counter() - t0,
+        route=route,
     )
 
 

@@ -8,7 +8,8 @@ the q^3 + 1 candidate points
 
 all of which lie on Q by construction.  The candidate set is an ovoid
 exactly when the polarization value of every distinct pair of affine
-points is nonzero; `verify_ovoid` checks this exhaustively.
+points is nonzero; `verify_ovoid` checks this exhaustively, on the pair
+kernel or, for triples of p-weight <= 2, on the difference route.
 """
 
 from __future__ import annotations
@@ -22,30 +23,15 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from . import _pairscan
+from . import _diffroute, _pairscan
 from .errors import NonzeroAtOrigin, FieldMismatch, Unsupported
 from .ff import Fe, FieldCtx
 from .mpoly import MPoly
 
-VERIFY_Q_LIMIT = 64          # full pair scans above this are impractical
 GENERATOR_Q_LIMIT = 3
 
 Point = Tuple[int, ...]
 Triple = Tuple[int, int, int]
-
-
-def normalize_point(ctx: FieldCtx, coords: Sequence[int]) -> Point:
-    """Scale so the first nonzero coordinate is 1; idempotent."""
-    coords = tuple(int(c) for c in coords)
-    if len(coords) != 8 or not any(coords):
-        raise Unsupported("projective point needs 8 coordinates, not all zero")
-    for c in coords:
-        if c:
-            if c == 1:
-                return coords
-            inv = ctx.inv(c)
-            return tuple(ctx.mul(inv, x) for x in coords)
-    raise Unsupported("unreachable")  # pragma: no cover
 
 
 def quadric_value(ctx: FieldCtx, pt: Sequence[int]) -> int:
@@ -151,12 +137,14 @@ class VerificationReport:
     elapsed: float
     q: int
     degree: int
+    route: str
 
     def to_json_dict(self) -> dict:
         return {
             "is_ovoid": self.is_ovoid,
             "witness": [list(self.witness[0]), list(self.witness[1])] if self.witness else None,
             "pairs_checked": self.pairs_checked,
+            "route": self.route,
             "elapsed_ms": round(self.elapsed * 1000.0, 3),
             "q": self.q,
             "degree": self.degree,
@@ -167,20 +155,19 @@ def verify_ovoid(spec: OvoidSpec, threads: int = 1) -> VerificationReport:
     """Exhaustive pairwise check of the candidate point set.
 
     The witness, when present, is the first violating pair in scan order
-    (x fastest within a triple, first index slowest across the pair).
+    (x fastest within a triple, first index slowest across the pair); above
+    the pair route's limit it is the difference route's first_zero.
     """
-    ctx = spec.ctx
-    if ctx.q > VERIFY_Q_LIMIT:
-        raise Unsupported(f"verification supports q <= {VERIFY_Q_LIMIT}")
     t0 = time.perf_counter()
-    res = _pairscan.pair_scan(ctx, spec.value_tables(), early_exit=True, threads=threads)
+    route, res = _diffroute.exact_scan(spec, early_exit=True, threads=threads)
     return VerificationReport(
         is_ovoid=res.first_zero is None,
-        witness=_pairscan.witness_triples(ctx.q, res.first_zero),
+        witness=_pairscan.witness_triples(spec.q, res.first_zero),
         pairs_checked=res.pairs_checked,
         elapsed=time.perf_counter() - t0,
-        q=ctx.q,
+        q=spec.q,
         degree=spec.degree,
+        route=route,
     )
 
 
@@ -232,25 +219,31 @@ def infinity_space_basis() -> List[List[int]]:
     return rows
 
 
+@functools.lru_cache(maxsize=16)
+def _leading_one_combinations(q: int, k: int) -> np.ndarray:
+    """Every coefficient vector in F_q^k whose first nonzero entry is 1."""
+    out = [(0,) * lead + (1,) + rest
+           for lead in range(k) for rest in itertools.product(range(q), repeat=k - 1 - lead)]
+    arr = np.array(out, dtype=np.int64).reshape(len(out), k)
+    arr.flags.writeable = False
+    return arr
+
+
 def subspace_points(ctx: FieldCtx, basis: Sequence[Sequence[int]]) -> List[Point]:
-    """All distinct projective points spanned by the rows of `basis`."""
-    k = len(basis)
-    seen = set()
-    out = []
-    for idx in range(1, ctx.q ** k):
-        coeffs = [(idx // ctx.q ** i) % ctx.q for i in range(k)]
-        vec = [0] * len(basis[0])
-        for c, row in zip(coeffs, basis):
-            if c:
-                for col, r in enumerate(row):
-                    vec[col] = ctx.add(vec[col], ctx.mul(c, r))
-        if not any(vec):
-            continue
-        pt = normalize_point(ctx, vec)
-        if pt not in seen:
-            seen.add(pt)
-            out.append(pt)
-    return out
+    """All distinct projective points spanned by the rows of `basis`.
+
+    In reduced echelon form the first nonzero coordinate of a combination
+    sits at the pivot of its first nonzero coefficient and equals that
+    coefficient, so the normalised points are exactly the combinations
+    whose first nonzero coefficient is 1, each met once.
+    """
+    ncols = len(basis[0])
+    rows, pivots = _rref(ctx, basis, ncols)
+    coeffs = _leading_one_combinations(ctx.q, len(pivots))
+    acc = np.zeros((len(coeffs), ncols), dtype=np.int64)
+    for i in range(len(pivots)):
+        acc = ctx.v_add(acc, ctx.v_mul(coeffs[:, i, None], np.array(rows[i], dtype=np.int64)))
+    return [tuple(pt) for pt in acc.tolist()]
 
 
 def _rref(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int):
@@ -356,11 +349,12 @@ class KerdockSet(Sequence):
 
 def kerdock_set(spec: OvoidSpec) -> KerdockSet:
     """One matrix per parameter triple, in scan order:
-    m01 = x, m02 = -y, m03 = z, m12 = f1, m13 = f2, m23 = f3.  Like
-    verification, the O(q^6) check stops at q = VERIFY_Q_LIMIT."""
+    m01 = x, m02 = -y, m03 = z, m12 = f1, m13 = f2, m23 = f3.  The check
+    runs on the pair kernel, so it stops at the pair route's limit."""
     ctx = spec.ctx
-    if ctx.q > VERIFY_Q_LIMIT:
-        raise Unsupported(f"kerdock check supports q <= {VERIFY_Q_LIMIT}")
+    if ctx.q > _pairscan.Q_LIMIT:
+        raise Unsupported(f"the kerdock check runs on the pair-scan route, "
+                          f"which supports q <= {_pairscan.Q_LIMIT}")
     xs, ys, zs, f1, f2, f3 = spec.value_tables()
     return KerdockSet(ctx, (xs, ys, zs), (xs, ctx.v_sub(0, ys), zs, f1, f2, f3))
 

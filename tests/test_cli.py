@@ -219,6 +219,37 @@ def test_threads_identical_output():
     assert ja == jb
 
 
+def test_route_threads_identical_output(tmp_path):
+    # q = 16 takes the difference route: kantor-simple passes, the zero
+    # triple fails with the pair scan's witness
+    ks = tmp_path / "ks16.txt"
+    assert run("construct", "--family", "kantor-simple", "--q", "16",
+               "--spec-out", str(ks)).returncode == 0
+    zero = tmp_path / "zero.txt"
+    zero.write_text("0\n0\n0\n")
+    for spec, code in ((ks, 0), (zero, 1)):
+        a, b = (run("verify", "--q", "16", "--spec", str(spec), "--threads", t, "--no-timing")
+                for t in ("1", "2"))
+        assert a.returncode == b.returncode == code
+        ja, jb = json.loads(a.stdout), json.loads(b.stdout)
+        assert ja["route"] == "difference"
+        ja["manifest"]["command"] = jb["manifest"]["command"] = "x"
+        assert ja == jb
+
+
+def test_routes_refuse_above_their_limits(tmp_path):
+    xyz = tmp_path / "xyz.txt"
+    xyz.write_text("x*y*z\n0\n0\n")
+    ks = tmp_path / "ks.txt"
+    ks.write_text("x*y+z^2\nx*z+y^2+z^2\ny*z+x^2+y^2+z^2\n")
+    for q, spec, limit in (("128", xyz, "pair-scan route supports q <= 64"),
+                           ("256", ks, "difference route supports q <= 128")):
+        for argv in (["verify"], ["hypersurface", "--action", "scan"]):
+            r = run(*argv, "--q", q, "--spec", str(spec), "--threads", "1")
+            assert r.returncode == 3, (q, argv)           # EXIT_UNSUPPORTED
+            assert r.stdout == "" and limit in r.stderr
+
+
 def test_kerdock_threads_identical_output():
     # q = 16 spreads the scan over several blocks; q = 8 fails (exit 1)
     for q, code in (("16", 0), ("8", 1)):

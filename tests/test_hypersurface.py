@@ -126,9 +126,18 @@ def test_scan_against_direct_evaluation_oracle_q2():
 
 
 def test_scan_budget_guard():
-    ctx = make_field(2, 5)          # 32^6 > 10^9
-    with pytest.raises(Unsupported):
-        affine_point_scan(build_F(zero_spec(ctx)))
+    # x*y*z has p-weight 3, so only the pair route could scan it, and it
+    # stops at q = 64
+    ctx = make_field(2, 7)
+    spec = OvoidSpec.from_lines(ctx, ["x*y*z", "0", "0"])
+    with pytest.raises(Unsupported, match="q <= 64"):
+        affine_point_scan(build_F(spec))
+
+
+def test_scan_above_difference_route_limit():
+    ctx = make_field(2, 8)
+    with pytest.raises(Unsupported, match="difference route supports q <= 128"):
+        affine_point_scan(build_F(kantor_simple(ctx)))
 
 
 def test_scan_off_diagonal_zero_iff_ovoid():

@@ -12,7 +12,7 @@ from ovoid7.errors import Unsupported
 from ovoid7.families import kantor_simple
 from ovoid7.ff import factorize, make_field
 from ovoid7.mpoly import MPoly
-from ovoid7.quadric import VERIFY_Q_LIMIT, OvoidSpec, collinearity_value
+from ovoid7.quadric import OvoidSpec, collinearity_value
 
 FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
 
@@ -122,7 +122,7 @@ def prime_powers_up_to(limit):
     return [tuple(*factorize(q).items()) for q in range(2, limit + 1) if len(factorize(q)) == 1]
 
 
-@pytest.mark.parametrize("p,h", prime_powers_up_to(VERIFY_Q_LIMIT))
+@pytest.mark.parametrize("p,h", prime_powers_up_to(_pairscan.Q_LIMIT))
 def test_lane_encoding_bounds(p, h):
     ctx = make_field(p, h)
     q = ctx.q

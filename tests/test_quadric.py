@@ -13,7 +13,7 @@ from ovoid7.families import kantor_simple, kantor_2mod3_even, thas_kantor
 from ovoid7.quadric import (KerdockMatrix, OvoidSpec, bilinear, collinearity_value,
                             enumerate_generators, generator_point_sets,
                             infinity_space_basis, kerdock_check, kerdock_set,
-                            meets_every_generator_once, normalize_point,
+                            meets_every_generator_once,
                             ovoid_points, quadric_value, rank,
                             spread_space, spread_space_basis, subspace_points,
                             verify_ovoid)
@@ -136,6 +136,21 @@ def test_bilinear_unit_example():
     assert bilinear(ctx, P, R).v == 1
 
 
+def normalize_point(ctx, coords):
+    """Scale so the first nonzero coordinate is 1; idempotent.  Used by the
+    scalar subspace oracle below."""
+    coords = tuple(int(c) for c in coords)
+    if len(coords) != 8 or not any(coords):
+        raise Unsupported("projective point needs 8 coordinates, not all zero")
+    for c in coords:
+        if c:
+            if c == 1:
+                return coords
+            inv = ctx.inv(c)
+            return tuple(ctx.mul(inv, x) for x in coords)
+    raise Unsupported("unreachable")  # pragma: no cover
+
+
 def test_normalize_point_idempotent():
     ctx = make_field(5, 1)
     p = normalize_point(ctx, (0, 3, 1, 0, 2, 0, 0, 4))
@@ -197,8 +212,16 @@ def test_verify_threads_deterministic():
 
 
 def test_verify_scale_guard():
-    with pytest.raises(Unsupported):
-        verify_ovoid(kantor_simple(make_field(2, 7)))
+    # kantor-simple at q = 128 takes the difference route; a triple with an
+    # x*y*z term (p-weight 3) can only take the pair route, which stops at 64
+    spec = OvoidSpec.from_lines(make_field(2, 7), ["x*y*z", "0", "0"])
+    with pytest.raises(Unsupported, match="pair-scan route supports q <= 64"):
+        verify_ovoid(spec)
+
+
+def test_verify_above_difference_route_limit():
+    with pytest.raises(Unsupported, match="difference route supports q <= 128"):
+        verify_ovoid(kantor_simple(make_field(2, 8)))
 
 
 @pytest.mark.parametrize("q,h", [(2, 1), (3, 1), (2, 2), (5, 1)])
@@ -282,6 +305,45 @@ def test_spread_partition(q):
     union |= set(pts)
     expected = (q ** 3 + 1) * (q ** 3 + q ** 2 + q + 1)
     assert total == len(union) == expected
+
+
+def subspace_points_scalar(ctx, basis):
+    """Span every combination of the rows one scalar point at a time,
+    normalise and deduplicate: the oracle for subspace_points."""
+    k = len(basis)
+    seen = set()
+    out = []
+    for idx in range(1, ctx.q ** k):
+        coeffs = [(idx // ctx.q ** i) % ctx.q for i in range(k)]
+        vec = [0] * len(basis[0])
+        for c, row in zip(coeffs, basis):
+            if c:
+                for col, r in enumerate(row):
+                    vec[col] = ctx.add(vec[col], ctx.mul(c, r))
+        if not any(vec):
+            continue
+        pt = normalize_point(ctx, vec)
+        if pt not in seen:
+            seen.add(pt)
+            out.append(pt)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_subspace_points_match_scalar_oracle(q):
+    ctx = make_field(q, 1)
+    spec = kantor_simple(ctx) if q == 2 else thas_kantor(ctx, 2)
+    bases = [spread_space_basis(spec, t) for t in triples(q)]
+    bases.append(infinity_space_basis())
+    bases += [list(g) for g in enumerate_generators(ctx)]
+    for basis in bases:
+        pts = subspace_points(ctx, basis)
+        assert len(pts) == len(set(pts))
+        assert set(pts) == set(subspace_points_scalar(ctx, basis))
+    # a dependent spanning set gives the points of its span once each
+    rows = infinity_space_basis()
+    doubled = rows[:2] + [[ctx.add(a, b) for a, b in zip(rows[0], rows[1])]]
+    assert sorted(subspace_points(ctx, doubled)) == sorted(subspace_points_scalar(ctx, doubled))
 
 
 # -- skew matrix set -------------------------------------------------------------
