@@ -19,9 +19,9 @@ from .families import (Famiglia1Params, Famiglia2Params, TowerBasis,
                        famiglia1, famiglia2, kantor_2mod3, kantor_2mod3_even,
                        kantor_2mod3_odd, kantor_even, kantor_simple, ree_tits,
                        thas_kantor)
-from .hypersurface import (BoundReport, HyperplaneWitness, HypersurfaceF,
-                           QuadricWitness, affine_point_scan, bound_report,
-                           build_F, hyperplane_product_residual,
+from .hypersurface import (BoundReport, HyperplaneWitness, QuadricWitness,
+                           affine_point_scan, bound_report, build_F,
+                           hyperplane_product_residual,
                            quadric_product_residual, solve_deg2_system,
                            solve_quadric_witness)
 from .search import (SearchConfig, SearchResult, exhaustive_triple_search,

@@ -164,7 +164,7 @@ def _construct(ctx, family: str, params: dict) -> tuple:
         if "alpha" in params or "beta" in params:
             alpha = _parse_tower_elem(ext, params.get("alpha", "[0,1,0]"))
             beta = _parse_tower_elem(ext, params.get("beta", "[0,0,1]"))
-            basis = fam.TowerBasis(ext, alpha, beta)
+            basis = hyp.HyperplaneWitness(ext, alpha, beta)
         else:
             basis = fam.default_tower_basis(ctx)
         choices = {"alpha": list(basis.alpha.coords), "beta": list(basis.beta.coords),
@@ -250,20 +250,20 @@ def cmd_hypersurface(args) -> int:
     if not args.spec:
         raise ParseError(f"action {args.action} needs --spec")
     spec = _load_spec(args.spec, ctx)
-    F = hyp.build_F(spec)
     if args.action == "build":
+        F = hyp.build_F(spec)
         diag_zero = hyp.diagonal_restriction(F).is_zero()
         report = {
-            "degree": F.degree,
-            "terms": len(F.poly.terms),
+            "degree": F.degree(),
+            "terms": len(F.terms),
             "diagonal_vanishes": diag_zero,
-            "polynomial": F.poly.render(),
+            "polynomial": F.render(),
             "manifest": _manifest(args, ctx),
         }
         _emit(args, report, t0)
         return EXIT_OK if diag_zero else EXIT_FAIL
     if args.action == "scan":
-        rep = hyp.affine_point_scan(F, threads=args.threads)
+        rep = hyp.affine_point_scan(spec, threads=args.threads)
         report = rep.to_json_dict()
         report["manifest"] = _manifest(args, ctx)
         _emit(args, report, t0)

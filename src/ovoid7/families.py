@@ -13,40 +13,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .errors import (BadExponent, DependentBasis, OddCharacteristic, SquareMu,
-                     Unsupported, WrongCharacteristic, WrongResidue)
+from .errors import (BadExponent, OddCharacteristic, SquareMu, Unsupported,
+                     WrongCharacteristic, WrongResidue)
 from .ff import ExtCtx, FieldCtx, TowerElem
-from .hypersurface import build_F, uvw
+from .hypersurface import HyperplaneWitness, build_F, uvw
 from .mpoly import MPoly
-from .quadric import OvoidSpec, rank
+from .quadric import OvoidSpec
 
 FAMILY_NAMES = ("kantor-simple", "kantor-even", "thas-kantor", "ree-tits",
                 "dye", "kantor-2mod3", "famiglia1", "famiglia2")
 
-
-@dataclass(frozen=True)
-class TowerBasis:
-    """{1, alpha, beta} spanning the cubic extension over F_q."""
-
-    ext: ExtCtx
-    alpha: TowerElem
-    beta: TowerElem
-
-    def __post_init__(self):
-        if self.ext.n != 3:
-            raise Unsupported("tower basis lives in a cubic extension")
-        if self.alpha.ctx is not self.ext or self.beta.ctx is not self.ext:
-            raise Unsupported("basis elements must belong to the given extension")
-        rows = [self.ext.embed(1), self.alpha.coords, self.beta.coords]
-        if rank(self.ext.base, rows) != 3:
-            raise DependentBasis("{1, alpha, beta} are linearly dependent")
+# the basis {1, alpha, beta} of Kantor's triple, under the name callers import
+TowerBasis = HyperplaneWitness
 
 
-def default_tower_basis(ctx: FieldCtx) -> TowerBasis:
+def default_tower_basis(ctx: FieldCtx) -> HyperplaneWitness:
     """(t, t^2) for the power-basis root t of the default cubic modulus."""
     ext = ExtCtx(ctx, 3)
     t = ext.gen()
-    return TowerBasis(ext, t, t * t)
+    return HyperplaneWitness(ext, t, t * t)
 
 
 def _p3(ctx: FieldCtx, d: Dict[Tuple[int, int, int], object]) -> MPoly:
@@ -72,7 +57,7 @@ def kantor_simple(ctx: FieldCtx) -> OvoidSpec:
     )
 
 
-def kantor_even(basis: TowerBasis) -> OvoidSpec:
+def kantor_even(basis: HyperplaneWitness) -> OvoidSpec:
     """General even-characteristic Kantor triple for the given basis.
 
     Expands t^(q+q^2) for t = x + y*alpha + z*beta and reads the triple
@@ -81,6 +66,8 @@ def kantor_even(basis: TowerBasis) -> OvoidSpec:
     """
     ext = basis.ext
     ctx = ext.base
+    if ext.n != 3:
+        raise Unsupported("tower basis lives in a cubic extension")
     if ctx.p != 2:
         raise OddCharacteristic("general Kantor construction needs characteristic 2")
     al, be = basis.alpha.coords, basis.beta.coords
@@ -416,7 +403,7 @@ def factorized_identity_check(family: str, ctx: FieldCtx) -> bool:
     ext = ExtCtx(ctx, 2)
     if family == "2mod3_odd":
         spec = kantor_2mod3_odd(ctx)
-        F = build_F(spec).poly.lift(ext)
+        F = build_F(spec).lift(ext)
         xi = find_sqrt_in_quadratic(ext, ctx.neg(3 % ctx.p))
         factors = []
         for sign in (-1, 1):
@@ -430,7 +417,7 @@ def factorized_identity_check(family: str, ctx: FieldCtx) -> bool:
         prod = factors[0] * factors[1]
         return prod.scale(TowerElem(ext, ext.embed(3 % ctx.p))) == F
     spec = kantor_2mod3_even(ctx)
-    F = build_F(spec).poly.lift(ext)
+    F = build_F(spec).lift(ext)
     xi = find_artin_schreier_unit(ext)
     # the second factor swaps x5, x6 for x2, x3 and keeps the same xi;
     # that combination is exactly the Frobenius conjugate of the first

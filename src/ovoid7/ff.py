@@ -806,9 +806,6 @@ class ExtCtx:
         frob = np.zeros(N, dtype=np.int64)
         frob[exp] = expx[(np.arange(N - 1) * self.q) % (N - 1)]
         tabs["frob"] = frob
-        # packed addition helpers: digitwise over the base field
-        tabs["digits"] = [((np.arange(N) // self.q ** i) % self.q).astype(np.int64)
-                          for i in range(self.n)]
         self._packed = tabs
         return tabs
 

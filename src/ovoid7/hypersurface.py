@@ -13,7 +13,6 @@ candidate set is an ovoid exactly when F has no other rational zeros.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -27,44 +26,25 @@ from .mpoly import MPoly
 from .quadric import OvoidSpec, rank
 
 
-@dataclass
-class HypersurfaceF:
-    """The pair polynomial of a triple; `poly` is expanded on first use, so
-    a point scan, which reads only the triple's value tables, never expands it."""
-
-    spec: OvoidSpec
-
-    @functools.cached_property
-    def poly(self) -> MPoly:
-        """F in 6 variables over the base field (exact)."""
-        ctx = self.spec.ctx
-        first = [f.remap_vars([0, 1, 2], 6) for f in self.spec.polys()]
-        second = [f.remap_vars([3, 4, 5], 6) for f in self.spec.polys()]
-        out = MPoly.zero(ctx, 6)
-        for diff, fi in zip(uvw(ctx), (2, 1, 0)):
-            out = out + diff * (second[fi] - first[fi])
-        return out
-
-    @property
-    def degree(self) -> int:
-        return self.poly.degree()
-
-
 def uvw(ctx) -> Tuple[MPoly, MPoly, MPoly]:
     """U, V, W = X1-X4, X2-X5, X3-X6 as 6-variable polynomials over ctx."""
     return tuple(MPoly.variable(ctx, 6, i) - MPoly.variable(ctx, 6, i + 3) for i in range(3))
 
 
-def build_F(spec: OvoidSpec) -> HypersurfaceF:
-    """The pair polynomial of `spec`, expanded symbolically on first use of `.poly`."""
-    return HypersurfaceF(spec)
+def build_F(spec: OvoidSpec) -> MPoly:
+    """F of `spec` in 6 variables over the base field, expanded symbolically."""
+    ctx = spec.ctx
+    first = [f.remap_vars([0, 1, 2], 6) for f in spec.polys()]
+    second = [f.remap_vars([3, 4, 5], 6) for f in spec.polys()]
+    out = MPoly.zero(ctx, 6)
+    for diff, fi in zip(uvw(ctx), (2, 1, 0)):
+        out = out + diff * (second[fi] - first[fi])
+    return out
 
 
-def diagonal_restriction(F: HypersurfaceF) -> MPoly:
+def diagonal_restriction(F: MPoly) -> MPoly:
     """Substitute X4,X5,X6 = X1,X2,X3; identically zero by construction."""
-    ctx = F.spec.ctx
-    imgs = [MPoly.variable(ctx, 6, i % 3) for i in range(6)]
-    return F.poly.substitute(imgs)
+    return F.substitute([MPoly.variable(F.ctx, 6, i % 3) for i in range(6)])
 
 
 @dataclass
@@ -85,8 +65,9 @@ class ScanReport:
         }
 
 
-def affine_point_scan(F: HypersurfaceF, threads: int = 1) -> ScanReport:
-    """Exact zero counts of F over the affine 6-space.
+def affine_point_scan(spec: OvoidSpec, threads: int = 1) -> ScanReport:
+    """Exact zero counts of the pair polynomial F of `spec` over the affine
+    6-space, read from the triple's value tables; F is never expanded.
 
     The q^3 diagonal points are always zeros; off-diagonal zeros come in
     symmetric pairs, counted on the pair kernel over unordered index pairs
@@ -94,7 +75,6 @@ def affine_point_scan(F: HypersurfaceF, threads: int = 1) -> ScanReport:
     is the verification witness: the first off-diagonal zero in scan order,
     or the difference route's first_zero above the pair route's limit.
     """
-    spec = F.spec
     q = spec.ctx.q
     t0 = time.perf_counter()
     route, res = _diffroute.exact_scan(spec, early_exit=False, threads=threads)
@@ -114,7 +94,8 @@ def affine_point_scan(F: HypersurfaceF, threads: int = 1) -> ScanReport:
 
 @dataclass(frozen=True)
 class HyperplaneWitness:
-    """Conjugate hyperplane data: {1, alpha, beta} independent over F_q."""
+    """A basis {1, alpha, beta} over F_q of a cubic or quartic extension: the
+    conjugate hyperplanes of a split, and the tower basis of Kantor's triple."""
 
     ext: ExtCtx
     alpha: TowerElem
@@ -123,6 +104,8 @@ class HyperplaneWitness:
     def __post_init__(self):
         if self.ext.n not in (3, 4):
             raise Unsupported("hyperplane witnesses live in a cubic or quartic extension")
+        if self.alpha.ctx is not self.ext or self.beta.ctx is not self.ext:
+            raise Unsupported("basis elements must belong to the given extension")
         rows = [self.ext.embed(1), self.alpha.coords, self.beta.coords]
         if rank(self.ext.base, rows) != 3:
             raise DependentBasis("{1, alpha, beta} are linearly dependent")
@@ -155,11 +138,48 @@ def hyperplane_product_residual(spec: OvoidSpec, witness: HyperplaneWitness) -> 
         raise Unsupported(f"degree-{d} split needs an extension of degree {nplanes}")
     if ext.base is not spec.ctx:
         raise Unsupported("witness extension has a different base field")
-    F = build_F(spec).poly.lift(ext)
+    F = build_F(spec).lift(ext)
     prod = MPoly.constant(ext, 6, 1)
     for i in range(nplanes):
         prod = prod * _conjugate_plane(ext, witness.alpha.coords, witness.beta.coords, i)
     return F - prod
+
+
+# the monomials of a three-plane split triple, in coefficient-row order
+_DEG2_MONOMIALS = ((1, 1, 0), (1, 0, 1), (0, 1, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2))
+
+
+def _deg2_invariants(witness: HyperplaneWitness) -> tuple:
+    """The nine F_q-values of a = alpha, b = beta that fix a three-plane split:
+    Tr a, Tr b, N a, N b, Tr a^(q+1), Tr b^(q+1), Tr a^(q+1) b^(q^2),
+    Tr a b^(q+q^2) and Tr(a b^q + a^q b)."""
+    ext = witness.ext
+    if ext.n != 3:
+        raise Unsupported("the degree-2 system lives over the cubic extension")
+    al = witness.alpha.coords
+    be = witness.beta.coords
+    fr, mul, tr = ext.frobenius, ext.mul, ext.trace
+    alq = fr(al, 1)
+    beq, beq2 = fr(be, 1), fr(be, 2)
+    return (tr(al), tr(be), ext.norm(al), ext.norm(be), tr(mul(al, alq)), tr(mul(be, beq)),
+            tr(mul(mul(al, alq), beq2)), tr(mul(al, mul(beq, beq2))),
+            tr(ext.add(mul(al, beq), mul(alq, be))))
+
+
+def _deg2_rows(invariants: tuple) -> tuple:
+    """The solved assignment: the _DEG2_MONOMIALS coefficients of f1, f2, f3."""
+    tr_a, tr_b, n_a, n_b, tr_a1q, tr_b1q, tr_a1q_bq2, tr_a_bqq2, tr_cross = invariants
+    return ((tr_cross, 0, 0, tr_b, tr_a1q_bq2, n_b),
+            (0, tr_cross, 0, tr_a, n_a, tr_a_bqq2),
+            (0, 0, tr_cross, 1, tr_a1q, tr_b1q))
+
+
+def deg2_triple(witness: HyperplaneWitness) -> OvoidSpec:
+    """The closed-form degree-2 triple whose pair polynomial splits into the
+    three conjugate planes through the witness (characteristic 2)."""
+    ctx = witness.ext.base
+    return OvoidSpec(ctx, *(MPoly.from_dict(ctx, 3, dict(zip(_DEG2_MONOMIALS, row)))
+                            for row in _deg2_rows(_deg2_invariants(witness))))
 
 
 def deg2_condition_residuals(witness: HyperplaneWitness) -> list:
@@ -171,31 +191,12 @@ def deg2_condition_residuals(witness: HyperplaneWitness) -> list:
     characteristic 2 (e.g. both D3 - 1 and D3 + 1 appear); all entries
     vanish there.  Returns the list of residual values in order.
     """
-    ext = witness.ext
-    ctx = ext.base
-    if ext.n != 3:
-        raise Unsupported("the degree-2 system lives over the cubic extension")
-    al = witness.alpha.coords
-    be = witness.beta.coords
-    fr, mul, add, tr = ext.frobenius, ext.mul, ext.add, ext.trace
-    alq = fr(al, 1)
-    beq, beq2 = fr(be, 1), fr(be, 2)
-    tr_a = tr(al)
-    tr_b = tr(be)
-    n_a = ext.norm(al)
-    n_b = ext.norm(be)
-    tr_a1q = tr(mul(al, alq))
-    tr_b1q = tr(mul(be, beq))
-    tr_a1q_bq2 = tr(mul(mul(al, alq), beq2))
-    tr_a_bqq2 = tr(mul(al, mul(beq, beq2)))
-    tr_cross = tr(add(mul(al, beq), mul(alq, be)))
-
-    # the solved assignment
-    A1 = B2 = C3 = tr_cross
-    A2 = A3 = B1 = B3 = C1 = C2 = 0
-    D1, D2, D3 = tr_b, tr_a, 1
-    E1, E2, E3 = tr_a1q_bq2, n_a, tr_a1q
-    F1, F2, F3 = n_b, tr_a_bqq2, tr_b1q
+    ctx = witness.ext.base
+    inv = _deg2_invariants(witness)
+    tr_a, tr_b, n_a, n_b, tr_a1q, tr_b1q, tr_a1q_bq2, tr_a_bqq2, tr_cross = inv
+    # A..F are the coefficients of xy, xz, yz, x^2, y^2, z^2; 1..3 name f1..f3
+    (A1, B1, C1, D1, E1, F1), (A2, B2, C2, D2, E2, F2), (A3, B3, C3, D3, E3, F3) = \
+        _deg2_rows(inv)
 
     s = ctx.sub
     a = ctx.add
@@ -232,42 +233,12 @@ def solve_deg2_system(witness: HyperplaneWitness, literal_check: bool = False) -
     trace-pairing construction and against a vanishing residual; with
     literal_check the unreduced condition list is evaluated as well.
     """
-    ext = witness.ext
-    ctx = ext.base
-    if ext.n != 3:
-        raise Unsupported("the degree-2 system lives over the cubic extension")
-    if ctx.p != 2:
+    spec = deg2_triple(witness)
+    if spec.ctx.p != 2:
         raise OddCharacteristic("the solved system forces characteristic 2")
-    al = witness.alpha.coords
-    be = witness.beta.coords
-    fr = ext.frobenius
-    mul = ext.mul
-    add = ext.add
-    tr = ext.trace
+    from .families import kantor_even
 
-    alq = fr(al, 1)
-    beq, beq2 = fr(be, 1), fr(be, 2)
-    a1 = tr(add(mul(al, beq), mul(al, beq2)))           # xy / xz / yz coefficient
-    d1, d2 = tr(be), tr(al)
-    e1 = tr(mul(mul(al, alq), beq2))
-    e2 = ext.norm(al)
-    e3 = tr(mul(al, alq))
-    f1c = ext.norm(be)
-    f2c = tr(mul(al, mul(beq, beq2)))
-    f3c = tr(mul(be, beq))
-
-    def p3(d):
-        return MPoly.from_dict(ctx, 3, d)
-
-    f1 = p3({(1, 1, 0): a1, (2, 0, 0): d1, (0, 2, 0): e1, (0, 0, 2): f1c})
-    f2 = p3({(1, 0, 1): a1, (2, 0, 0): d2, (0, 2, 0): e2, (0, 0, 2): f2c})
-    f3 = p3({(0, 1, 1): a1, (2, 0, 0): 1, (0, 2, 0): e3, (0, 0, 2): f3c})
-    spec = OvoidSpec(ctx, f1, f2, f3)
-
-    from .families import TowerBasis, kantor_even
-
-    rebuilt = kantor_even(TowerBasis(ext, witness.alpha, witness.beta))
-    if rebuilt.polys() != spec.polys():
+    if kantor_even(witness).polys() != spec.polys():
         raise Unsupported("solved system disagrees with the trace construction")
     if not hyperplane_product_residual(spec, witness).is_zero():
         raise Unsupported("solved system does not split as expected")
@@ -345,7 +316,7 @@ def quadric_product_residual(spec: OvoidSpec, witness: QuadricWitness) -> MPoly:
     ctx = spec.ctx
     if witness.ctx is not ctx:
         raise Unsupported("witness over a different field")
-    F = build_F(spec).poly
+    F = build_F(spec)
     if ctx.p != 2:
         R, S = _quadric_RS(ctx, witness)
         return F - (R * R - (S * S).scale(witness.k))

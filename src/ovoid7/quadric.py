@@ -439,16 +439,11 @@ def nullspace(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int) -> List[
     return basis
 
 
-def generator_point_sets(ctx: FieldCtx, generators=None) -> List[frozenset]:
-    """Frozen point sets of each generator (for fast incidence counting)."""
-    if generators is None:
-        return _generator_point_sets_cached(ctx)
-    return [frozenset(subspace_points(ctx, list(g))) for g in generators]
-
-
 @functools.lru_cache(maxsize=4)
-def _generator_point_sets_cached(ctx: FieldCtx) -> List[frozenset]:
-    return generator_point_sets(ctx, enumerate_generators(ctx))
+def generator_point_sets(ctx: FieldCtx) -> List[frozenset]:
+    """Frozen point sets of each generator (for fast incidence counting),
+    cached per field."""
+    return [frozenset(subspace_points(ctx, list(g))) for g in enumerate_generators(ctx)]
 
 
 def meets_every_generator_once(spec: OvoidSpec, gen_sets=None) -> bool:

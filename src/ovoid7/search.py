@@ -19,7 +19,7 @@ import numpy as np
 from . import _pairscan
 from .errors import BudgetExceeded, DependentBasis, Unsupported
 from .ff import ExtCtx, FieldCtx, TowerElem
-from .mpoly import MPoly, pack_exps, unpack_exps
+from .mpoly import MPoly, unpack_exps
 from .quadric import OvoidSpec
 
 
@@ -383,12 +383,13 @@ def hyperplane_witness_search(ext: ExtCtx, budget: int = 10 ** 8) -> WitnessSear
 
 def recognize_kantor_even(spec: OvoidSpec):
     """Brute-force basis scan: the first (alpha, beta) in packed order whose
-    three-plane product reproduces the triple's pair polynomial, or None.
+    closed-form degree-2 triple is the given triple, or None.
 
-    The scan prefilters on the trace/norm values forced by the solved
-    coefficient system, then confirms survivors with the exact residual.
+    The scan prefilters on six of the trace/norm values that the closed form
+    places in the triple, compares the closed form of each survivor with the
+    triple, and confirms the match with the exact residual.
     """
-    from .hypersurface import HyperplaneWitness, hyperplane_product_residual
+    from .hypersurface import HyperplaneWitness, deg2_triple, hyperplane_product_residual
 
     ctx = spec.ctx
     if ctx.p != 2:
@@ -398,62 +399,25 @@ def recognize_kantor_even(spec: OvoidSpec):
     if spec.degree != 2:
         return None    # no split exists outside degree 2 (zero triple included)
     f1, f2, f3 = spec.polys()
-    allowed = {pack_exps(m) for m in
-               ((1, 1, 0), (1, 0, 1), (0, 1, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2))}
-    for f in (f1, f2, f3):
-        if set(f.terms) - allowed:
-            return None
-    coef = {
-        "A1": f1.coeff_raw((1, 1, 0)), "B1": f1.coeff_raw((1, 0, 1)),
-        "C1": f1.coeff_raw((0, 1, 1)), "D1": f1.coeff_raw((2, 0, 0)),
-        "E1": f1.coeff_raw((0, 2, 0)), "F1": f1.coeff_raw((0, 0, 2)),
-        "A2": f2.coeff_raw((1, 1, 0)), "B2": f2.coeff_raw((1, 0, 1)),
-        "C2": f2.coeff_raw((0, 1, 1)), "D2": f2.coeff_raw((2, 0, 0)),
-        "E2": f2.coeff_raw((0, 2, 0)), "F2": f2.coeff_raw((0, 0, 2)),
-        "A3": f3.coeff_raw((1, 1, 0)), "B3": f3.coeff_raw((1, 0, 1)),
-        "C3": f3.coeff_raw((0, 1, 1)), "D3": f3.coeff_raw((2, 0, 0)),
-        "E3": f3.coeff_raw((0, 2, 0)), "F3": f3.coeff_raw((0, 0, 2)),
-    }
-    # structural zeros and ones of the solved system
-    if any(coef[z] for z in ("A2", "A3", "B1", "B3", "C1", "C2")) or coef["D3"] != 1:
-        return None
-    if not (coef["A1"] == coef["B2"] == coef["C3"]):
-        return None
     ext = ExtCtx(ctx, 3)
-    N = ext.order
-    e = np.arange(N, dtype=np.int64)
-    fr = ext.v_frobenius_packed
-    mul = ext.v_mul_packed
+    e = np.arange(ext.order, dtype=np.int64)
     tr = ext.v_trace_packed
-    nrm = ext.v_norm_packed
-    e1 = fr(e)
     tr_e = tr(e)
-    nrm_e = nrm(e)
-    tr_q1 = tr(mul(e, e1))
-    alphas = np.flatnonzero((tr_e == coef["D2"]) & (nrm_e == coef["E2"]) & (tr_q1 == coef["E3"]))
-    betas = np.flatnonzero((tr_e == coef["D1"]) & (nrm_e == coef["F1"]) & (tr_q1 == coef["F3"]))
-    if not len(alphas) or not len(betas):
-        return None
+    nrm_e = ext.v_norm_packed(e)
+    tr_q1 = tr(ext.v_mul_packed(e, ext.v_frobenius_packed(e)))
+    # x^2 and y^2 of f2 and y^2 of f3 are Tr a, N a, Tr a^(q+1); x^2 and
+    # z^2 of f1 and z^2 of f3 are the same values of b
+    alphas = np.flatnonzero((tr_e == f2.coeff_raw((2, 0, 0))) & (nrm_e == f2.coeff_raw((0, 2, 0)))
+                            & (tr_q1 == f3.coeff_raw((0, 2, 0))))
+    betas = np.flatnonzero((tr_e == f1.coeff_raw((2, 0, 0))) & (nrm_e == f1.coeff_raw((0, 0, 2)))
+                           & (tr_q1 == f3.coeff_raw((0, 0, 2))))
     for ap in alphas:
-        al = ext.unpack(int(ap))
-        alq = ext.frobenius(al, 1)
         for bp in betas:
-            be = ext.unpack(int(bp))
-            beq = ext.frobenius(be, 1)
-            beq2 = ext.frobenius(be, 2)
-            a1v = ext.trace(ext.add(ext.mul(al, beq), ext.mul(al, beq2)))
-            if a1v != coef["A1"]:
-                continue
-            e1v = ext.trace(ext.mul(ext.mul(al, alq), beq2))
-            if e1v != coef["E1"]:
-                continue
-            f2v = ext.trace(ext.mul(al, ext.mul(beq, beq2)))
-            if f2v != coef["F2"]:
-                continue
             try:
-                w = HyperplaneWitness(ext, TowerElem(ext, al), TowerElem(ext, be))
+                w = HyperplaneWitness(ext, ext.from_packed(int(ap)), ext.from_packed(int(bp)))
             except DependentBasis:
                 continue
-            if hyperplane_product_residual(spec, w).is_zero():
+            if (deg2_triple(w).polys() == spec.polys()
+                    and hyperplane_product_residual(spec, w).is_zero()):
                 return w
     return None

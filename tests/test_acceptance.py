@@ -19,8 +19,7 @@ from ovoid7.families import (Famiglia1Params, Famiglia2Params,
                              factorized_identity_check, famiglia1, famiglia2,
                              kantor_2mod3_even, kantor_2mod3_odd, kantor_even,
                              kantor_simple, ree_tits, thas_kantor)
-from ovoid7.hypersurface import (HyperplaneWitness, affine_point_scan,
-                                 bound_report, build_F,
+from ovoid7.hypersurface import (affine_point_scan, bound_report,
                                  hyperplane_product_residual,
                                  quadric_product_residual, solve_deg2_system,
                                  solve_quadric_witness, threshold_boundary)
@@ -77,9 +76,8 @@ def test_criterion_02_general_kantor_construction():
     residuals = []
     for h in (1, 2, 3):
         ctx = make_field(2, h)
-        basis = default_tower_basis(ctx)
-        spec = kantor_even(basis)
-        w = HyperplaneWitness(basis.ext, basis.alpha, basis.beta)
+        w = default_tower_basis(ctx)
+        spec = kantor_even(w)
         residuals.append(hyperplane_product_residual(spec, w).is_zero())
         solved = solve_deg2_system(w)
         assert solved.polys() == spec.polys(), ctx.q
@@ -175,7 +173,7 @@ def test_criterion_07_cross_oracle_equivalence():
         specs = family_specs + [rand_spec(ctx, rng) for _ in range(100)]
         for spec in specs:
             ver = verify_ovoid(spec).is_ovoid
-            scan = affine_point_scan(build_F(spec)).off_diagonal == 0
+            scan = affine_point_scan(spec).off_diagonal == 0
             kd = kerdock_check(kerdock_set(spec))
             assert ver == scan == kd, spec
             if q == 2:
@@ -190,7 +188,7 @@ def test_criterion_08_point_count_invariant():
     for h in (1, 2):
         ctx = make_field(2, h)
         spec = kantor_even(default_tower_basis(ctx))
-        rep = affine_point_scan(build_F(spec))
+        rep = affine_point_scan(spec)
         totals[ctx.q] = rep.total
         assert rep.total == ctx.q ** 3
         assert rep.off_diagonal == 0

@@ -12,7 +12,7 @@ from ovoid7 import _diffroute, _pairscan
 from ovoid7.families import (default_tower_basis, dye, kantor_2mod3, kantor_even,
                              kantor_simple, ree_tits, thas_kantor)
 from ovoid7.ff import make_field
-from ovoid7.hypersurface import affine_point_scan, build_F
+from ovoid7.hypersurface import affine_point_scan
 from ovoid7.mpoly import MPoly
 from ovoid7.quadric import OvoidSpec, collinearity_value, verify_ovoid
 
@@ -117,7 +117,7 @@ def test_route_choice():
     assert _diffroute.choose_route(ks(make_field(2, 3))) == "pair-scan"      # q < MIN_Q
     assert _diffroute.choose_route(ks(make_field(2, 4))) == "difference"
     assert _diffroute.choose_route(_thas_kantor(make_field(3, 3))) == "pair-scan"
-    assert affine_point_scan(build_F(ks(make_field(2, 4)))).route == "difference"
+    assert affine_point_scan(ks(make_field(2, 4))).route == "difference"
 
 
 # -- witnesses -------------------------------------------------------------------
@@ -166,7 +166,7 @@ def test_witness_above_pair_limit(monkeypatch):
     assert rep.witness == _pairscan.witness_triples(ctx.q, want)
     assert rep.pairs_checked == n * (n - 1) // 2
     assert int(collinearity_value(spec, *rep.witness)) == 0
-    scan = affine_point_scan(build_F(spec))
+    scan = affine_point_scan(spec)
     assert scan.witness == rep.witness
     assert scan.off_diagonal == pair_count(spec)
 

@@ -64,6 +64,16 @@ def test_tower_basis_independence_check():
         TowerBasis(ext, ext.one(), ext.gen())
 
 
+def test_tower_basis_is_the_hyperplane_witness():
+    from ovoid7.hypersurface import HyperplaneWitness
+
+    assert TowerBasis is HyperplaneWitness
+    ext4 = ExtCtx(make_field(2, 1), 4)
+    t = ext4.gen()
+    with pytest.raises(Unsupported, match="tower basis lives in a cubic extension"):
+        kantor_even(TowerBasis(ext4, t, t * t))
+
+
 def test_thas_kantor():
     ctx = make_field(3, 1)
     spec = thas_kantor(ctx, 2)

@@ -43,13 +43,13 @@ def rand_spec(ctx, rng, max_deg=3):
 
 def test_build_F_zero_triple():
     ctx = make_field(2, 1)
-    assert build_F(zero_spec(ctx)).poly.is_zero()
+    assert build_F(zero_spec(ctx)).is_zero()
 
 
 def test_build_F_degree():
     ctx = make_field(2, 1)
     F = build_F(kantor_simple(ctx))
-    assert F.degree == 3                       # component degree + 1
+    assert F.degree() == 3                     # component degree + 1
 
 
 def test_diagonal_vanishing_random():
@@ -69,7 +69,7 @@ def test_F_evaluation_matches_pair_value():
         ctx = make_field(q, h)
         for _ in range(20):
             spec = rand_spec(ctx, rng)
-            F = build_F(spec).poly
+            F = build_F(spec)
             t1 = tuple(rng.randrange(ctx.q) for _ in range(3))
             t2 = tuple(rng.randrange(ctx.q) for _ in range(3))
             assert F.eval_raw(t1 + t2) == collinearity_value(spec, t1, t2).v
@@ -77,11 +77,11 @@ def test_F_evaluation_matches_pair_value():
 
 def test_degree_bound_and_equality_for_families():
     ctx2 = make_field(2, 1)
-    assert build_F(kantor_simple(ctx2)).degree == 3
+    assert build_F(kantor_simple(ctx2)).degree() == 3
     from ovoid7.families import kantor_2mod3_even, kantor_2mod3_odd
 
-    assert build_F(kantor_2mod3_even(ctx2)).degree == 4
-    assert build_F(kantor_2mod3_odd(make_field(5, 1))).degree == 4
+    assert build_F(kantor_2mod3_even(ctx2)).degree() == 4
+    assert build_F(kantor_2mod3_odd(make_field(5, 1))).degree() == 4
 
 
 # -- scans -----------------------------------------------------------------------
@@ -89,13 +89,13 @@ def test_degree_bound_and_equality_for_families():
 
 def test_scan_kantor_even_q2_diagonal_only():
     ctx = make_field(2, 1)
-    rep = affine_point_scan(build_F(kantor_even(default_tower_basis(ctx))))
+    rep = affine_point_scan(kantor_even(default_tower_basis(ctx)))
     assert rep.total == 8 and rep.off_diagonal == 0 and rep.witness is None
 
 
 def test_scan_zero_triple_counts_everything():
     ctx = make_field(2, 1)
-    rep = affine_point_scan(build_F(zero_spec(ctx)))
+    rep = affine_point_scan(zero_spec(ctx))
     assert rep.total == 64
     assert rep.off_diagonal == 64 - 8
 
@@ -103,7 +103,7 @@ def test_scan_zero_triple_counts_everything():
 def test_scan_witness_matches_verify():
     ctx = make_field(2, 3)
     spec = kantor_simple(ctx)
-    rep = affine_point_scan(build_F(spec))
+    rep = affine_point_scan(spec)
     ver = verify_ovoid(spec)
     assert rep.off_diagonal > 0
     assert rep.witness == ver.witness
@@ -119,9 +119,9 @@ def test_scan_against_direct_evaluation_oracle_q2():
         q = 2
         for idx in range(q ** 6):
             pt = tuple((idx >> b) & 1 for b in range(6))
-            if F.poly.eval_raw(pt) == 0:
+            if F.eval_raw(pt) == 0:
                 total += 1
-        rep = affine_point_scan(F)
+        rep = affine_point_scan(spec)
         assert rep.total == total
 
 
@@ -131,13 +131,13 @@ def test_scan_budget_guard():
     ctx = make_field(2, 7)
     spec = OvoidSpec.from_lines(ctx, ["x*y*z", "0", "0"])
     with pytest.raises(Unsupported, match="q <= 64"):
-        affine_point_scan(build_F(spec))
+        affine_point_scan(spec)
 
 
 def test_scan_above_difference_route_limit():
     ctx = make_field(2, 8)
     with pytest.raises(Unsupported, match="difference route supports q <= 128"):
-        affine_point_scan(build_F(kantor_simple(ctx)))
+        affine_point_scan(kantor_simple(ctx))
 
 
 def test_scan_off_diagonal_zero_iff_ovoid():
@@ -146,7 +146,7 @@ def test_scan_off_diagonal_zero_iff_ovoid():
         ctx = make_field(q, 1)
         for _ in range(20):
             spec = rand_spec(ctx, rng)
-            rep = affine_point_scan(build_F(spec))
+            rep = affine_point_scan(spec)
             assert (rep.off_diagonal == 0) == verify_ovoid(spec).is_ovoid
 
 
@@ -156,16 +156,13 @@ def test_scan_off_diagonal_zero_iff_ovoid():
 @pytest.mark.parametrize("h", [1, 2])
 def test_hyperplane_residual_zero_for_construction(h):
     ctx = make_field(2, h)
-    basis = default_tower_basis(ctx)
-    spec = kantor_even(basis)
-    w = HyperplaneWitness(basis.ext, basis.alpha, basis.beta)
-    assert hyperplane_product_residual(spec, w).is_zero()
+    w = default_tower_basis(ctx)
+    assert hyperplane_product_residual(kantor_even(w), w).is_zero()
 
 
 def test_hyperplane_residual_nonzero_for_other_specs():
     ctx = make_field(2, 1)
-    basis = default_tower_basis(ctx)
-    w = HyperplaneWitness(basis.ext, basis.alpha, basis.beta)
+    w = default_tower_basis(ctx)
     other = OvoidSpec(ctx, MPoly.parse("x^2", ctx, 3), MPoly.parse("y^2", ctx, 3),
                       MPoly.parse("z^2", ctx, 3))
     assert not hyperplane_product_residual(other, w).is_zero()
@@ -176,6 +173,14 @@ def test_hyperplane_witness_rejects_dependent_basis():
     ext = ExtCtx(ctx, 3)
     with pytest.raises(DependentBasis):
         HyperplaneWitness(ext, ext.one(), ext.gen())
+
+
+def test_hyperplane_witness_rejects_elements_of_another_extension():
+    ctx = make_field(2, 1)
+    ext = ExtCtx(ctx, 3, modulus=(1, 1, 0, 1))
+    t = ExtCtx(ctx, 3, modulus=(1, 0, 1, 1)).gen()
+    with pytest.raises(Unsupported, match="must belong to the given extension"):
+        HyperplaneWitness(ext, t, t * t)
 
 
 def test_four_plane_residual_machinery():
@@ -208,21 +213,20 @@ def test_hyperplane_product_always_rational():
     ctx = make_field(2, 1)
     basis = default_tower_basis(ctx)
     spec = kantor_even(basis)
-    F = build_F(spec).poly.lift(basis.ext)
-    residual = hyperplane_product_residual(spec, HyperplaneWitness(basis.ext, basis.alpha, basis.beta))
+    F = build_F(spec).lift(basis.ext)
+    residual = hyperplane_product_residual(spec, basis)
     assert residual.is_zero()
     product = F - residual
-    assert product.try_descend() == build_F(spec).poly
+    assert product.try_descend() == build_F(spec)
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_solve_deg2_system(h):
     ctx = make_field(2, h)
-    basis = default_tower_basis(ctx)
-    w = HyperplaneWitness(basis.ext, basis.alpha, basis.beta)
+    w = default_tower_basis(ctx)
     spec = solve_deg2_system(w)
     assert spec.degree == 2
-    assert spec.polys() == kantor_even(basis).polys()
+    assert spec.polys() == kantor_even(w).polys()
     assert verify_ovoid(spec).is_ovoid
 
 
@@ -239,8 +243,7 @@ def test_literal_condition_list_vanishes_in_char2(h):
     from ovoid7.hypersurface import deg2_condition_residuals
 
     ctx = make_field(2, h)
-    basis = default_tower_basis(ctx)
-    w = HyperplaneWitness(basis.ext, basis.alpha, basis.beta)
+    w = default_tower_basis(ctx)
     residuals = deg2_condition_residuals(w)
     assert len(residuals) == 56
     assert not any(residuals)

@@ -513,6 +513,7 @@ def test_generator_oracle_matches_verify_q2():
     ctx = make_field(2, 1)
     gsets = generator_point_sets(ctx)
     assert len(gsets) == 270
+    assert generator_point_sets(ctx) is gsets             # cached per field
     assert meets_every_generator_once(kantor_simple(ctx), gsets)
     assert meets_every_generator_once(kantor_2mod3_even(ctx), gsets)
     assert not meets_every_generator_once(zero_spec(ctx), gsets)

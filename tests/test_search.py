@@ -276,6 +276,58 @@ def test_recognize_rejects_non_kantor():
     assert recognize_kantor_even(z) is None
 
 
+# (input basis, recognized basis) as (alpha, beta) coordinates, three bases
+# per q drawn by random.Random(h); the recognized pair is the first match in
+# packed order, often a Frobenius conjugate of the input rather than itself
+RECOGNIZED = {
+    1: [(([0, 0, 1], [0, 1, 1]), ([0, 1, 0], [1, 0, 1])),
+        (([1, 1, 0], [1, 0, 1]), ([1, 1, 0], [1, 0, 1])),
+        (([0, 0, 1], [1, 1, 0]), ([0, 1, 0], [0, 1, 1]))],
+    2: [(([2, 1, 0], [1, 3, 3]), ([2, 1, 0], [1, 3, 3])),
+        (([2, 3, 2], [0, 0, 2]), ([0, 2, 1], [2, 2, 2])),
+        (([3, 2, 3], [3, 1, 1]), ([0, 3, 1], [2, 1, 0]))],
+    3: [(([3, 2, 5], [7, 1, 0]), ([2, 6, 0], [6, 7, 4])),
+        (([7, 4, 3], [3, 7, 7]), ([7, 4, 3], [3, 7, 7])),
+        (([6, 2, 3], [2, 6, 0]), ([6, 6, 1], [3, 2, 5]))],
+    4: [(([2, 2, 0], [12, 9, 1]), ([2, 2, 0], [12, 9, 1])),
+        (([7, 11, 8], [5, 3, 8]), ([15, 8, 3], [13, 8, 11])),
+        (([6, 0, 8], [8, 6, 5]), ([6, 8, 0], [14, 3, 6]))],
+}
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_recognize_returns_first_pair_in_packed_order(h):
+    from ovoid7.errors import DependentBasis
+    from ovoid7.families import TowerBasis
+
+    ext = ExtCtx(make_field(2, h), 3)
+    rng = random.Random(h)
+    for given_pair, found_pair in RECOGNIZED[h]:
+        while True:
+            alpha = [rng.randrange(ext.q) for _ in range(3)]
+            beta = [rng.randrange(ext.q) for _ in range(3)]
+            try:
+                basis = TowerBasis(ext, ext.element(alpha), ext.element(beta))
+            except DependentBasis:
+                continue
+            break
+        assert (alpha, beta) == given_pair
+        w = recognize_kantor_even(kantor_even(basis))
+        assert (list(w.alpha.coords), list(w.beta.coords)) == found_pair
+
+
+def test_recognize_rejects_perturbed_kantor_triples():
+    ctx = make_field(2, 2)
+    spec = kantor_even(default_tower_basis(ctx))
+    extra_xy = OvoidSpec(ctx, spec.f1, spec.f2 + MPoly.parse("x*y", ctx, 3), spec.f3)
+    assert extra_xy.degree == 2
+    assert recognize_kantor_even(extra_xy) is None
+    assert spec.f3.coeff_raw((2, 0, 0)) == 1
+    other_x2 = OvoidSpec(ctx, spec.f1, spec.f2, spec.f3 + MPoly.parse("x^2", ctx, 3).scale(3))
+    assert other_x2.f3.coeff_raw((2, 0, 0)) == 2 and other_x2.degree == 2
+    assert recognize_kantor_even(other_x2) is None
+
+
 def test_recognize_scale_guard():
     ctx = make_field(2, 5)
     with pytest.raises(Unsupported):
