@@ -74,19 +74,17 @@ def coordinate_arrays(q: int):
 
 
 def eval_on_grid(poly, ctx: FieldCtx, xs, ys, zs):
-    """Evaluate a 3-variable polynomial on coordinate arrays, term by term."""
+    """Evaluate a 3-variable polynomial on coordinate arrays (field elements
+    in [0, q)), term by term; each power is one q-entry table and a gather."""
     from .mpoly import unpack_exps
 
+    elems = np.arange(ctx.q, dtype=xs.dtype)
     out = np.zeros_like(xs)
     for key, c in poly.terms.items():
-        ex, ey, ez = unpack_exps(key, 3)
         term = np.full_like(xs, c)
-        if ex:
-            term = ctx.v_mul(term, ctx.v_pow(xs, ex))
-        if ey:
-            term = ctx.v_mul(term, ctx.v_pow(ys, ey))
-        if ez:
-            term = ctx.v_mul(term, ctx.v_pow(zs, ez))
+        for coords, e in zip((xs, ys, zs), unpack_exps(key, 3)):
+            if e:
+                term = ctx.v_mul(term, ctx.v_pow(elems, e)[coords])
         out = ctx.v_add(out, term)
     return out
 

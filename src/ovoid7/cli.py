@@ -4,7 +4,9 @@ Exit codes: 0 the checked property holds, 1 it fails, 2 usage or parse
 error, 3 unsupported parameters.  Every JSON report embeds a manifest
 (command line, field, modulus, construction choices, version); timing
 lives in dedicated *_ms keys, zeroed by --no-timing so reruns are
-byte-identical.
+byte-identical.  Each command takes (args, field) and returns (report,
+manifest choices, whether the checked property holds); `main` alone reads
+the field and the clock, appends the manifest, emits and picks the exit code.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ def _default_threads() -> int:
 def _manifest(args, ctx, choices: Optional[dict] = None) -> dict:
     return {
         "command": " ".join(args._argv),
-        "field": ctx.name if ctx else None,
-        "modulus": ctx.modulus_text() if ctx else None,
+        "field": ctx.name,
+        "modulus": ctx.modulus_text(),
         "choices": choices or {},
         "package": "ovoid7",
         "version": __version__,
@@ -90,14 +92,11 @@ def _manifest(args, ctx, choices: Optional[dict] = None) -> dict:
     }
 
 
-def _emit(args, report: dict, t0: float) -> None:
+def _emit(args, report: dict, seconds: float) -> None:
     if not args.no_timing:
-        report.setdefault("manifest", {})["wall_time_ms"] = round(
-            (time.perf_counter() - t0) * 1000.0, 3)
-    else:
-        for key in ("elapsed_ms",):
-            if key in report:
-                report[key] = 0.0
+        report["manifest"]["wall_time_ms"] = round(seconds * 1000.0, 3)
+    elif "elapsed_ms" in report:
+        report["elapsed_ms"] = 0.0
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -126,17 +125,21 @@ def _parse_params(pairs: List[str]) -> dict:
     return out
 
 
-def _param_int(params, name, default=0):
+def _param_int(params, name, limit=None, default=0):
+    """Integer parameter `name`; given a `limit`, it must lie in [0, limit)."""
     raw = params.get(name)
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ParseError(f"parameter {name} must be an integer, got {raw!r}") from None
+    if limit is not None and not 0 <= value < limit:
+        raise ParseError(f"parameter {name} {value} outside [0, {limit})")
+    return value
 
 
-def _parse_tower_elem(ext: ExtCtx, text: str) -> TowerElem:
+def _parse_tower_elem(ext: ExtCtx, name: str, text: str) -> TowerElem:
     text = text.strip()
     if text.startswith("["):
         if not text.endswith("]"):
@@ -147,9 +150,12 @@ def _parse_tower_elem(ext: ExtCtx, text: str) -> TowerElem:
             raise ParseError(f"bad element {text!r}") from None
         return ext.element(coords)
     try:
-        return ext.from_packed(int(text) % ext.order)
+        packed = int(text)
     except ValueError:
         raise ParseError(f"bad element {text!r}") from None
+    if not 0 <= packed < ext.order:
+        raise ParseError(f"parameter {name} {packed} outside [0, {ext.order})")
+    return ext.from_packed(packed)
 
 
 def _construct(ctx, family: str, params: dict) -> tuple:
@@ -162,8 +168,8 @@ def _construct(ctx, family: str, params: dict) -> tuple:
     if family == "kantor-even":
         ext = ExtCtx(ctx, 3)
         if "alpha" in params or "beta" in params:
-            alpha = _parse_tower_elem(ext, params.get("alpha", "[0,1,0]"))
-            beta = _parse_tower_elem(ext, params.get("beta", "[0,0,1]"))
+            alpha = _parse_tower_elem(ext, "alpha", params.get("alpha", "[0,1,0]"))
+            beta = _parse_tower_elem(ext, "beta", params.get("beta", "[0,0,1]"))
             basis = hyp.HyperplaneWitness(ext, alpha, beta)
         else:
             basis = fam.default_tower_basis(ctx)
@@ -172,7 +178,7 @@ def _construct(ctx, family: str, params: dict) -> tuple:
                                          for c in basis.ext.modulus]}
         return fam.kantor_even(basis), choices
     if family == "thas-kantor":
-        mu = _param_int(params, "mu", 0)
+        mu = _param_int(params, "mu", ctx.q)
         if not mu:
             mu = next(m for m in range(1, ctx.q) if not ctx.is_square(m))
         return fam.thas_kantor(ctx, mu), {"mu": mu}
@@ -184,164 +190,141 @@ def _construct(ctx, family: str, params: dict) -> tuple:
         return fam.kantor_2mod3(ctx), {}
     if family == "famiglia1":
         p = fam.Famiglia1Params(
-            epsilon=_param_int(params, "eps", 1),
-            C4=_param_int(params, "C4"), D4=_param_int(params, "D4"),
-            a010=_param_int(params, "a010"), b100=_param_int(params, "b100"),
-            a100=_param_int(params, "a100"))
+            epsilon=_param_int(params, "eps", default=1),
+            **{k: _param_int(params, k, ctx.q) for k in ("C4", "D4", "a010", "b100", "a100")})
         return fam.famiglia1(ctx, p), {"params": dataclasses.asdict(p)}
     if family == "famiglia2":
         p = fam.Famiglia2Params(
-            C4=_param_int(params, "C4"), D4=_param_int(params, "D4"),
-            c001=_param_int(params, "c001"), c010=_param_int(params, "c010"),
-            b001=_param_int(params, "b001"))
+            **{k: _param_int(params, k, ctx.q) for k in ("C4", "D4", "c001", "c010", "b001")})
         return fam.famiglia2(ctx, p), {"params": dataclasses.asdict(p)}
     raise ParseError(f"unknown family {family!r}; known: {', '.join(fam.FAMILY_NAMES)}")
 
 
-def cmd_construct(args) -> int:
-    t0 = time.perf_counter()
-    ctx = parse_field_spec(args.q)
+def cmd_construct(args, ctx) -> tuple:
     spec, choices = _construct(ctx, args.family, _parse_params(args.param))
     lines = spec.render_lines()
     if args.spec_out:
         with open(args.spec_out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-    report = {
-        "family": args.family,
-        "q": ctx.q,
-        "degree": spec.degree,
-        "spec_lines": lines,
-        "manifest": _manifest(args, ctx, choices),
-    }
-    _emit(args, report, t0)
-    return EXIT_OK
+    return {"family": args.family, "q": ctx.q, "degree": spec.degree,
+            "spec_lines": lines}, choices, True
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
-    ctx = parse_field_spec(args.q)
-    spec = _load_spec(args.spec, ctx)
-    rep = verify_ovoid(spec, threads=args.threads)
-    report = rep.to_json_dict()
-    report["manifest"] = _manifest(args, ctx)
-    _emit(args, report, t0)
-    return EXIT_OK if rep.is_ovoid else EXIT_FAIL
+def cmd_verify(args, ctx) -> tuple:
+    rep = verify_ovoid(_load_spec(args.spec, ctx), threads=args.threads)
+    return rep.to_json_dict(), None, rep.is_ovoid
 
 
-def _load_witness_json(path: str) -> dict:
+def _read_json(path: str, kind: str) -> dict:
+    """The JSON object held in a witness or mask file."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read witness file: {exc}") from None
+        raise ParseError(f"cannot read {kind} file: {exc}") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"{kind} file {path} does not hold a JSON object")
+    return data
 
 
-def cmd_hypersurface(args) -> int:
-    t0 = time.perf_counter()
-    ctx = parse_field_spec(args.q)
+def _int_list(data: dict, key: str, length: int, path: str) -> tuple:
+    """`data[key]` as `length` integers; a missing key, another length or a
+    non-integer entry is a ParseError naming the file and the key."""
+    val = data.get(key)
+    if not (isinstance(val, list) and len(val) == length and all(type(v) is int for v in val)):
+        raise ParseError(f"witness file {path}: {key!r} must be a list of {length} integers")
+    return tuple(val)
+
+
+def _load_mask(path: str) -> dict:
+    """A search mask: per component, monomial -> pinned integer or a string
+    (`SearchConfig` accepts only "free")."""
+    mask = _read_json(path, "mask")
+    for name in ("f1", "f2", "f3"):
+        pins = mask.get(name) or {}
+        if not (isinstance(pins, dict)
+                and all(type(v) is int or isinstance(v, str) for v in pins.values())):
+            raise ParseError(f'mask file {path}: {name!r} must map monomials to integers '
+                             f'or "free"')
+    return mask
+
+
+def _plane_check(args, ctx, spec) -> tuple:
+    ext_degree = 3 if spec.degree == 2 else 4
+    ext = ExtCtx(ctx, ext_degree)
+    if args.witness and args.witness != "default-basis":
+        data = _read_json(args.witness, "witness")
+        alpha, beta = (ext.element(_int_list(data, key, ext_degree, args.witness))
+                       for key in ("alpha", "beta"))
+    else:
+        t = ext.gen()
+        alpha, beta = t, t * t
+    residual = hyp.hyperplane_product_residual(spec, hyp.HyperplaneWitness(ext, alpha, beta))
+    report = {"residual_zero": residual.is_zero(), "residual_terms": len(residual.terms),
+              "alpha": list(alpha.coords), "beta": list(beta.coords)}
+    return report, {"extension_degree": ext_degree}, residual.is_zero()
+
+
+def _quadric_check(args, ctx, spec) -> tuple:
+    record = {}
+    if args.witness and args.witness != "solve":
+        path = args.witness
+        data = _read_json(path, "witness")
+        xi = data.get("xi")
+        if xi is not None:
+            xi = ExtCtx(ctx, 2).element(_int_list(data, "xi", 2, path))
+        k = data.get("k")
+        if k is not None and type(k) is not int:
+            raise ParseError(f"witness file {path}: 'k' must be an integer or null")
+        w = hyp.QuadricWitness(
+            ctx=ctx, QR=_int_list(data, "QR", 6, path), QS=_int_list(data, "QS", 6, path),
+            LR=_int_list(data, "LR", 4, path), MR=_int_list(data, "MR", 4, path),
+            NR=_int_list(data, "NR", 4, path), k=k, xi=xi)
+    else:
+        w = hyp.solve_quadric_witness(spec, record)
+    residual = hyp.quadric_product_residual(spec, w)
+    return {
+        "residual_zero": residual.is_zero(),
+        "residual_terms": len(residual.terms),
+        "witness": {
+            "QR": list(w.QR), "QS": list(w.QS), "LR": list(w.LR),
+            "MR": list(w.MR), "NR": list(w.NR), "k": w.k,
+            "xi": list(w.xi.coords) if w.xi else None,
+        },
+        "solved_entries": record,
+    }, None, residual.is_zero()
+
+
+def cmd_hypersurface(args, ctx) -> tuple:
     if args.action == "bounds":
         if args.r is None or args.d is None:
             raise ParseError("bounds needs --r and --d")
-        rep = hyp.bound_report(args.r, args.d, ctx.q)
-        report = rep.to_json_dict()
-        report["manifest"] = _manifest(args, ctx)
-        _emit(args, report, t0)
-        return EXIT_OK
+        return hyp.bound_report(args.r, args.d, ctx.q).to_json_dict(), None, True
     if not args.spec:
         raise ParseError(f"action {args.action} needs --spec")
     spec = _load_spec(args.spec, ctx)
     if args.action == "build":
         F = hyp.build_F(spec)
         diag_zero = hyp.diagonal_restriction(F).is_zero()
-        report = {
-            "degree": F.degree(),
-            "terms": len(F.terms),
-            "diagonal_vanishes": diag_zero,
-            "polynomial": F.render(),
-            "manifest": _manifest(args, ctx),
-        }
-        _emit(args, report, t0)
-        return EXIT_OK if diag_zero else EXIT_FAIL
+        return {"degree": F.degree(), "terms": len(F.terms), "diagonal_vanishes": diag_zero,
+                "polynomial": F.render()}, None, diag_zero
     if args.action == "scan":
         rep = hyp.affine_point_scan(spec, threads=args.threads)
-        report = rep.to_json_dict()
-        report["manifest"] = _manifest(args, ctx)
-        _emit(args, report, t0)
-        return EXIT_OK if rep.off_diagonal == 0 else EXIT_FAIL
-    if args.action == "plane-check":
-        ext_degree = 3 if spec.degree == 2 else 4
-        ext = ExtCtx(ctx, ext_degree)
-        if args.witness and args.witness != "default-basis":
-            data = _load_witness_json(args.witness)
-            alpha = ext.element(data["alpha"])
-            beta = ext.element(data["beta"])
-        else:
-            t = ext.gen()
-            alpha, beta = t, t * t
-        w = hyp.HyperplaneWitness(ext, alpha, beta)
-        residual = hyp.hyperplane_product_residual(spec, w)
-        report = {
-            "residual_zero": residual.is_zero(),
-            "residual_terms": len(residual.terms),
-            "alpha": list(alpha.coords),
-            "beta": list(beta.coords),
-            "manifest": _manifest(args, ctx, {"extension_degree": ext_degree}),
-        }
-        _emit(args, report, t0)
-        return EXIT_OK if residual.is_zero() else EXIT_FAIL
-    if args.action == "quadric-check":
-        record = {}
-        if args.witness and args.witness != "solve":
-            data = _load_witness_json(args.witness)
-            xi = None
-            if "xi" in data and data["xi"] is not None:
-                ext = ExtCtx(ctx, 2)
-                xi = ext.element(data["xi"])
-            w = hyp.QuadricWitness(
-                ctx=ctx, QR=tuple(data["QR"]), QS=tuple(data["QS"]),
-                LR=tuple(data["LR"]), MR=tuple(data["MR"]), NR=tuple(data["NR"]),
-                k=data.get("k"), xi=xi)
-        else:
-            w = hyp.solve_quadric_witness(spec, record)
-        residual = hyp.quadric_product_residual(spec, w)
-        report = {
-            "residual_zero": residual.is_zero(),
-            "residual_terms": len(residual.terms),
-            "witness": {
-                "QR": list(w.QR), "QS": list(w.QS), "LR": list(w.LR),
-                "MR": list(w.MR), "NR": list(w.NR), "k": w.k,
-                "xi": list(w.xi.coords) if w.xi else None,
-            },
-            "solved_entries": record,
-            "manifest": _manifest(args, ctx),
-        }
-        _emit(args, report, t0)
-        return EXIT_OK if residual.is_zero() else EXIT_FAIL
-    raise ParseError(f"unknown action {args.action!r}")
+        return rep.to_json_dict(), None, rep.off_diagonal == 0
+    check = _plane_check if args.action == "plane-check" else _quadric_check
+    return check(args, ctx, spec)
 
 
-def cmd_search(args) -> int:
-    t0 = time.perf_counter()
-    ctx = parse_field_spec(args.q)
-    restriction = "full"
-    if args.mask:
-        restriction = _load_witness_json(args.mask)
-    elif args.restriction:
-        restriction = args.restriction
+def cmd_search(args, ctx) -> tuple:
+    restriction = _load_mask(args.mask) if args.mask else args.restriction or "full"
     cfg = srch.SearchConfig(ctx, max_degree=args.max_degree,
                             restriction=restriction, budget=args.budget)
     res = srch.exhaustive_triple_search(cfg)
-    report = res.to_json_dict(max_listed=args.max_listed)
-    report["manifest"] = _manifest(args, ctx, {"max_degree": args.max_degree,
-                                               "restriction": restriction,
-                                               "budget": args.budget})
-    _emit(args, report, t0)
-    return EXIT_OK if res.found_indices else EXIT_FAIL
+    choices = {"max_degree": args.max_degree, "restriction": restriction, "budget": args.budget}
+    return res.to_json_dict(max_listed=args.max_listed), choices, bool(res.found_indices)
 
 
-def cmd_kerdock(args) -> int:
-    t0 = time.perf_counter()
-    ctx = parse_field_spec(args.q)
+def cmd_kerdock(args, ctx) -> tuple:
     if args.spec:
         spec = _load_spec(args.spec, ctx)
     elif args.family:
@@ -350,14 +333,7 @@ def cmd_kerdock(args) -> int:
         raise ParseError("kerdock needs --spec or --family")
     mats = kerdock_set(spec)
     ok = kerdock_check(mats, threads=args.threads)
-    report = {
-        "all_differences_nonsingular": ok,
-        "matrices": len(mats),
-        "q": ctx.q,
-        "manifest": _manifest(args, ctx),
-    }
-    _emit(args, report, t0)
-    return EXIT_OK if ok else EXIT_FAIL
+    return {"all_differences_nonsingular": ok, "matrices": len(mats), "q": ctx.q}, None, ok
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,7 +415,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     args._argv = ["ovoid7"] + argv
     try:
-        return args.func(args)
+        t0 = time.perf_counter()
+        ctx = parse_field_spec(args.q)
+        report, choices, holds = args.func(args, ctx)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -449,7 +427,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OvoidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-
+    report["manifest"] = _manifest(args, ctx, choices)
+    _emit(args, report, time.perf_counter() - t0)
+    return EXIT_OK if holds else EXIT_FAIL
 
 if __name__ == "__main__":
     sys.exit(main())

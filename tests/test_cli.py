@@ -306,11 +306,39 @@ def test_every_report_matches_its_schema(tmp_path, capsys):
     assert set(schemas) == set(calls) | {"manifest"}
     assert main(["construct", "--family", "famiglia1", "--q", "5", "--spec-out", f1]) == 0
     capsys.readouterr()
+    holds = {"verify": lambda r: r["is_ovoid"],
+             "kerdock": lambda r: r["all_differences_nonsingular"],
+             "search": lambda r: r["ovoids_found"] > 0,
+             "build": lambda r: r["diagonal_vanishes"],
+             "scan": lambda r: r["off_diagonal"] == 0,
+             "plane-check": lambda r: r["residual_zero"],
+             "quadric-check": lambda r: r["residual_zero"]}
     for name, argv in calls.items():
-        assert main(argv + ["--no-timing", "--threads", "1"]) in (0, 1), name
-        report = json.loads(capsys.readouterr().out)
+        out = tmp_path / f"{name}.json"
+        code = main(argv + ["--no-timing", "--threads", "1", "--out", str(out)])
+        text = capsys.readouterr().out
+        report = json.loads(text)
         assert set(report) == set(schemas[name]), name
         assert set(report["manifest"]) == set(schemas["manifest"]), name
+        # the envelope: manifest last, timings zeroed, --out equal to stdout,
+        # exit 0 exactly when the checked property holds
+        assert list(report)[-1] == "manifest", name
+        timings = _timing_fields(report)
+        assert "manifest.wall_time_ms" in timings, name
+        assert all(v == 0.0 for v in timings.values()), (name, timings)
+        assert out.read_text() == text, name
+        assert code == (0 if holds.get(name, lambda r: True)(report) else 1), name
+
+
+def _timing_fields(report, prefix=""):
+    """Every *_ms value of a report, keyed by its dotted path."""
+    found = {}
+    for key, value in report.items():
+        if isinstance(value, dict):
+            found.update(_timing_fields(value, f"{prefix}{key}."))
+        elif key.endswith("_ms"):
+            found[prefix + key] = value
+    return found
 
 
 def test_threads_default_counts_usable_cpus():
@@ -354,6 +382,91 @@ def test_ree_tits_past_exponent_cap_is_unsupported():
     assert r.returncode == 3        # EXIT_UNSUPPORTED
     assert r.stdout == ""
     assert "exponent cap" in r.stderr
+
+
+# -- malformed input files and out-of-range parameters ----------------------------
+
+
+def _quadric_witness(**changes):
+    w = {"QR": [0, 1, 1, 0, 0, 1], "QS": [0, 1, 1, 0, 0, 1], "LR": [0, 0, 0, 1],
+         "MR": [0, 1, 0, 0], "NR": [0, 1, 1, 0], "xi": [0, 1]}
+    w.update(changes)
+    return {k: v for k, v in w.items() if v != "drop"}
+
+
+@pytest.mark.parametrize("action, data, message", [
+    ("quadric-check", _quadric_witness(QS="drop"), "'QS' must be a list of 6 integers"),
+    ("quadric-check", _quadric_witness(QR=[0, 1, 1]), "'QR' must be a list of 6 integers"),
+    ("quadric-check", _quadric_witness(LR=[0, 0, "a", 1]), "'LR' must be a list of 4 integers"),
+    ("quadric-check", _quadric_witness(xi=[0, 1.5]), "'xi' must be a list of 2 integers"),
+    ("quadric-check", _quadric_witness(k="2"), "'k' must be an integer or null"),
+    ("quadric-check", [1, 2], "does not hold a JSON object"),
+    ("plane-check", {"alpha": [0, 1, 0]}, "'beta' must be a list of 3 integers"),
+])
+def test_malformed_witness_file_is_a_parse_error(tmp_path, capsys, action, data, message):
+    from ovoid7.cli import main
+
+    spec = str(tmp_path / "spec.txt")
+    family = ("famiglia2", "2") if action == "quadric-check" else ("kantor-even", "4")
+    assert main(["construct", "--family", family[0], "--q", family[1], "--param", "all=0",
+                 "--spec-out", spec]) == 0
+    witness = tmp_path / "w.json"
+    witness.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["hypersurface", "--action", action, "--q", family[1], "--spec", spec,
+                 "--witness", str(witness), "--no-timing"]) == 2      # EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(witness) in err and message in err
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({"f1": ["x"]}), "'f1' must map monomials to integers or \"free\""),
+    (json.dumps({"f2": {"x": 1.5}}), "'f2' must map monomials"),
+    (json.dumps({"f3": {"x": None}}), "'f3' must map monomials"),
+    ("{not json", "cannot read mask file"),
+])
+def test_malformed_mask_file_is_a_parse_error(tmp_path, capsys, text, message):
+    from ovoid7.cli import main
+
+    mask = tmp_path / "mask.json"
+    mask.write_text(text)
+    assert main(["search", "--q", "2", "--mask", str(mask), "--no-timing"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and message in err
+    assert "witness" not in err
+
+
+@pytest.mark.parametrize("family, q, param, message", [
+    ("thas-kantor", "9", "mu=12", "parameter mu 12 outside [0, 9)"),
+    ("thas-kantor", "9", "mu=-1", "parameter mu -1 outside [0, 9)"),
+    ("kantor-even", "4", "alpha=100", "parameter alpha 100 outside [0, 64)"),
+    ("kantor-even", "4", "beta=64", "parameter beta 64 outside [0, 64)"),
+    ("famiglia1", "5", "C4=7", "parameter C4 7 outside [0, 5)"),
+    ("famiglia1", "5", "a100=5", "parameter a100 5 outside [0, 5)"),
+    ("famiglia2", "8", "b001=-3", "parameter b001 -3 outside [0, 8)"),
+])
+def test_out_of_range_param_is_a_parse_error(capsys, family, q, param, message):
+    from ovoid7.cli import main
+
+    assert main(["construct", "--family", family, "--q", q, "--param", param,
+                 "--no-timing"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
+def test_in_range_params_are_recorded_as_used(capsys):
+    from ovoid7.cli import main
+
+    for argv, choices in (
+            (["thas-kantor", "--q", "9", "--param", "mu=3"], {"mu": 3}),
+            (["kantor-even", "--q", "4", "--param", "alpha=63", "--param", "beta=4"],
+             {"alpha": [3, 3, 3], "beta": [0, 1, 0]}),
+            (["famiglia1", "--q", "5", "--param", "eps=-1", "--param", "C4=4"],
+             {"params": {"epsilon": -1, "C4": 4, "D4": 0, "a010": 0, "b100": 0, "a100": 0}})):
+        assert main(["construct", "--family", *argv, "--no-timing"]) == 0, argv
+        got = json.loads(capsys.readouterr().out)["manifest"]["choices"]
+        assert {k: got[k] for k in choices} == choices, argv
 
 
 # -- limits ----------------------------------------------------------------------

@@ -100,6 +100,22 @@ def test_kernel_matches_scalar_oracle(q, monkeypatch):
             monkeypatch.undo()
 
 
+@pytest.mark.parametrize("p,h", sorted(FIELDS.values()) + [(2, 4), (3, 3)])
+def test_value_tables_match_scalar_evaluation(p, h):
+    # eval_on_grid reads each power from a q-entry table; the scalar
+    # evaluator is the reference, including exponents up to the cap
+    ctx = make_field(p, h)
+    rng = random.Random(100 * p + h)
+    spec = rand_spec(ctx, rng)
+    high = MPoly.from_dict(ctx, 3, {(ctx.q - 1, 0, 1): 1, (5, 63, 0): rng.randrange(1, ctx.q),
+                                    (0, 2, 40): 1})
+    xs, ys, zs = _pairscan.coordinate_arrays(ctx.q)
+    pts = list(zip(xs.tolist(), ys.tolist(), zs.tolist()))
+    for poly in (spec.f1, spec.f2, spec.f3, high):
+        got = _pairscan.eval_on_grid(poly, ctx, xs, ys, zs)
+        assert got.tolist() == [poly.eval_raw(t) for t in pts]
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_early_exit_past_first_block_q16(threads):
     # q = 16: n = 4096 triples, 512 rows per block, 8 blocks (three threads
