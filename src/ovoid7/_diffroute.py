@@ -26,7 +26,6 @@ off-diagonal zero pairs, 2 * pair_scan(...).zero_pairs.
 from __future__ import annotations
 
 import functools
-import time
 from typing import Optional, Tuple
 
 import numpy as np
@@ -176,7 +175,6 @@ def exact_scan(spec, early_exit: bool, threads: int = 1):
         d = np.arange(1, ctx.q ** 3)
         if not _slice_values(ctx, tables, 0, _negated(ctx, tables, d), d).all():
             return route, _pairscan.pair_scan(ctx, tables, early_exit=True, threads=threads)
-    t0 = time.perf_counter()
     counts = zero_counts(ctx, tables)
     total = int(counts.sum())
     n = ctx.q ** 3
@@ -186,4 +184,4 @@ def exact_scan(spec, early_exit: bool, threads: int = 1):
         first, pairs = res.first_zero, res.pairs_checked
     elif total:
         first = first_zero(ctx, tables, counts)
-    return route, _pairscan.PairScanResult(total // 2, first, pairs, time.perf_counter() - t0)
+    return route, _pairscan.PairScanResult(total // 2, first, pairs)

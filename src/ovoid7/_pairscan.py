@@ -38,8 +38,8 @@ results do not depend on the worker count.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Tuple
 
@@ -135,13 +135,12 @@ def _lower_mask(step: int):
 
 
 class PairScanResult:
-    __slots__ = ("zero_pairs", "first_zero", "pairs_checked", "elapsed")
+    __slots__ = ("zero_pairs", "first_zero", "pairs_checked")
 
-    def __init__(self, zero_pairs, first_zero, pairs_checked, elapsed):
+    def __init__(self, zero_pairs, first_zero, pairs_checked):
         self.zero_pairs = zero_pairs          # unordered count, None if early exit
         self.first_zero = first_zero          # (i, j) with i < j, or None
         self.pairs_checked = pairs_checked
-        self.elapsed = elapsed
 
 
 def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> PairScanResult:
@@ -151,7 +150,6 @@ def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> Pair
     With early_exit the scan stops after the first block containing a zero
     of L; otherwise every pair is visited and zeros are counted exactly.
     """
-    t0 = time.perf_counter()
     q = ctx.q
     prod, zero, left, right, mix = _constants(ctx)
     vals = np.array(tables)
@@ -165,7 +163,7 @@ def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> Pair
     # entry is one 16, 32, ... byte copy
     step = min(rows_per_block, n, 1 << max(3, (STEP_ELEMS // max(1, n)).bit_length() - 1))
     starts = list(range(0, n, rows_per_block))
-    threads = max(1, int(threads or 1))
+    workers = min(max(1, int(threads or 1)), len(starts))
     lower = _lower_mask(step)
 
     def scan_block(s: int):
@@ -196,24 +194,18 @@ def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> Pair
 
     # Early exit stops at the first block containing a zero; later blocks
     # of the same batch are discarded from the pair count, so the reported
-    # numbers are identical for every worker count.  One thread makes no pool.
+    # numbers are identical for every worker count.  One worker makes no pool.
     pairs_checked = 0
     zero_total = 0
     first_zero = None
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    run = pool.map if pool else map
-    try:
-        for b in range(0, len(starts), threads):
-            for pairs, nz, first in run(scan_block, starts[b:b + threads]):
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        run = pool.map if pool else map
+        for b in range(0, len(starts), workers):
+            for pairs, nz, first in run(scan_block, starts[b:b + workers]):
                 pairs_checked += pairs
                 zero_total += nz
                 if first_zero is None:
                     first_zero = first
                 if early_exit and zero_total:
-                    return PairScanResult(None, first_zero, pairs_checked,
-                                          time.perf_counter() - t0)
-    finally:
-        if pool:
-            pool.shutdown()
-    return PairScanResult(zero_total, first_zero, pairs_checked,
-                          time.perf_counter() - t0)
+                    return PairScanResult(None, first_zero, pairs_checked)
+    return PairScanResult(zero_total, first_zero, pairs_checked)

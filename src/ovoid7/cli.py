@@ -148,6 +148,8 @@ def _parse_tower_elem(ext: ExtCtx, name: str, text: str) -> TowerElem:
             coords = [int(v) for v in text[1:-1].split(",")]
         except ValueError:
             raise ParseError(f"bad element {text!r}") from None
+        if not all(0 <= c < ext.q for c in coords):
+            raise ParseError(f"parameter {name} {text} has an entry outside [0, {ext.q})")
         return ext.element(coords)
     try:
         packed = int(text)
@@ -158,11 +160,21 @@ def _parse_tower_elem(ext: ExtCtx, name: str, text: str) -> TowerElem:
     return ext.from_packed(packed)
 
 
+# the --param names each family reads; every family also accepts all=0
+FAMILY_PARAMS = {"kantor-even": ("alpha", "beta"), "thas-kantor": ("mu",),
+                 "famiglia1": ("eps", "C4", "D4", "a010", "b100", "a100"),
+                 "famiglia2": ("C4", "D4", "c001", "c010", "b001")}
+
+
 def _construct(ctx, family: str, params: dict) -> tuple:
     """Returns (spec, choices dict for the manifest)."""
-    if "all" in params:
-        if params.pop("all") != "0":
-            raise ParseError("--param all= only supports 0")
+    if params.pop("all", "0") != "0":
+        raise ParseError("--param all= only supports 0")
+    known = FAMILY_PARAMS.get(family, ())
+    unknown = [name for name in params if name not in known]
+    if unknown:
+        raise ParseError(f"family {family} has no parameter {', '.join(unknown)}; "
+                         f"known: {', '.join(known) or 'none'}")
     if family == "kantor-simple":
         return fam.kantor_simple(ctx), {}
     if family == "kantor-even":
@@ -191,11 +203,11 @@ def _construct(ctx, family: str, params: dict) -> tuple:
     if family == "famiglia1":
         p = fam.Famiglia1Params(
             epsilon=_param_int(params, "eps", default=1),
-            **{k: _param_int(params, k, ctx.q) for k in ("C4", "D4", "a010", "b100", "a100")})
+            **{k: _param_int(params, k, ctx.q) for k in FAMILY_PARAMS[family] if k != "eps"})
         return fam.famiglia1(ctx, p), {"params": dataclasses.asdict(p)}
     if family == "famiglia2":
         p = fam.Famiglia2Params(
-            **{k: _param_int(params, k, ctx.q) for k in ("C4", "D4", "c001", "c010", "b001")})
+            **{k: _param_int(params, k, ctx.q) for k in FAMILY_PARAMS[family]})
         return fam.famiglia2(ctx, p), {"params": dataclasses.asdict(p)}
     raise ParseError(f"unknown family {family!r}; known: {', '.join(fam.FAMILY_NAMES)}")
 
@@ -227,26 +239,15 @@ def _read_json(path: str, kind: str) -> dict:
     return data
 
 
-def _int_list(data: dict, key: str, length: int, path: str) -> tuple:
-    """`data[key]` as `length` integers; a missing key, another length or a
-    non-integer entry is a ParseError naming the file and the key."""
+def _int_list(data: dict, key: str, length: int, path: str, limit: int) -> tuple:
+    """`data[key]` as `length` integers in [0, limit); a missing key, another
+    length or any other entry is a ParseError naming the file and the key."""
     val = data.get(key)
     if not (isinstance(val, list) and len(val) == length and all(type(v) is int for v in val)):
         raise ParseError(f"witness file {path}: {key!r} must be a list of {length} integers")
+    if not all(0 <= v < limit for v in val):
+        raise ParseError(f"witness file {path}: {key!r} has an entry outside [0, {limit})")
     return tuple(val)
-
-
-def _load_mask(path: str) -> dict:
-    """A search mask: per component, monomial -> pinned integer or a string
-    (`SearchConfig` accepts only "free")."""
-    mask = _read_json(path, "mask")
-    for name in ("f1", "f2", "f3"):
-        pins = mask.get(name) or {}
-        if not (isinstance(pins, dict)
-                and all(type(v) is int or isinstance(v, str) for v in pins.values())):
-            raise ParseError(f'mask file {path}: {name!r} must map monomials to integers '
-                             f'or "free"')
-    return mask
 
 
 def _plane_check(args, ctx, spec) -> tuple:
@@ -254,7 +255,7 @@ def _plane_check(args, ctx, spec) -> tuple:
     ext = ExtCtx(ctx, ext_degree)
     if args.witness and args.witness != "default-basis":
         data = _read_json(args.witness, "witness")
-        alpha, beta = (ext.element(_int_list(data, key, ext_degree, args.witness))
+        alpha, beta = (ext.element(_int_list(data, key, ext_degree, args.witness, ctx.q))
                        for key in ("alpha", "beta"))
     else:
         t = ext.gen()
@@ -272,14 +273,14 @@ def _quadric_check(args, ctx, spec) -> tuple:
         data = _read_json(path, "witness")
         xi = data.get("xi")
         if xi is not None:
-            xi = ExtCtx(ctx, 2).element(_int_list(data, "xi", 2, path))
+            xi = ExtCtx(ctx, 2).element(_int_list(data, "xi", 2, path, ctx.q))
         k = data.get("k")
-        if k is not None and type(k) is not int:
-            raise ParseError(f"witness file {path}: 'k' must be an integer or null")
-        w = hyp.QuadricWitness(
-            ctx=ctx, QR=_int_list(data, "QR", 6, path), QS=_int_list(data, "QS", 6, path),
-            LR=_int_list(data, "LR", 4, path), MR=_int_list(data, "MR", 4, path),
-            NR=_int_list(data, "NR", 4, path), k=k, xi=xi)
+        if k is not None and not (type(k) is int and 0 <= k < ctx.q):
+            raise ParseError(f"witness file {path}: 'k' must be an integer or null; "
+                             f"an integer must lie in [0, {ctx.q})")
+        w = hyp.QuadricWitness(ctx=ctx, k=k, xi=xi, **{
+            key: _int_list(data, key, length, path, ctx.q)
+            for key, length in (("QR", 6), ("QS", 6), ("LR", 4), ("MR", 4), ("NR", 4))})
     else:
         w = hyp.solve_quadric_witness(spec, record)
     residual = hyp.quadric_product_residual(spec, w)
@@ -316,7 +317,7 @@ def cmd_hypersurface(args, ctx) -> tuple:
 
 
 def cmd_search(args, ctx) -> tuple:
-    restriction = _load_mask(args.mask) if args.mask else args.restriction or "full"
+    restriction = _read_json(args.mask, "mask") if args.mask else args.restriction or "full"
     cfg = srch.SearchConfig(ctx, max_degree=args.max_degree,
                             restriction=restriction, budget=args.budget)
     res = srch.exhaustive_triple_search(cfg)

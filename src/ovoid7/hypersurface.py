@@ -317,15 +317,14 @@ def quadric_product_residual(spec: OvoidSpec, witness: QuadricWitness) -> MPoly:
     if witness.ctx is not ctx:
         raise Unsupported("witness over a different field")
     F = build_F(spec)
+    R, S = _quadric_RS(ctx, witness)
     if ctx.p != 2:
-        R, S = _quadric_RS(ctx, witness)
         return F - (R * R - (S * S).scale(witness.k))
     ext = witness.xi.ctx
     if ext.base is not ctx or ext.n != 2:
         raise Unsupported("xi must lie in the quadratic extension of the base field")
-    # build R, S directly over the quadratic extension; the integer witness
-    # coefficients embed as base-field elements
-    R, S = _quadric_RS(ext, witness)
+    # R and S have base-field coefficients; the product needs xi, so lift them
+    R, S = R.lift(ext), S.lift(ext)
     xi = TowerElem(ext, witness.xi.coords)
     xiq = TowerElem(ext, ext.frobenius(witness.xi.coords, 1))
     prod = (R + S.scale(xi)) * (R + S.scale(xiq))

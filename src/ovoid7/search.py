@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from . import _pairscan
-from .errors import BudgetExceeded, DependentBasis, Unsupported
+from .errors import BudgetExceeded, DependentBasis, ParseError, Unsupported
 from .ff import ExtCtx, FieldCtx, TowerElem
 from .mpoly import MPoly, unpack_exps
 from .quadric import OvoidSpec
@@ -35,19 +35,22 @@ MaskValue = Union[int, str]
 
 @dataclass
 class SearchConfig:
+    """A search's coefficient space, resolved once at construction into its
+    monomials, pinned positions (position -> value) and free positions."""
     ctx: FieldCtx
     max_degree: int = 2
     restriction: Union[str, Dict[str, Dict[str, MaskValue]]] = "full"
     budget: int = 1 << 28
 
-    def monomials(self) -> List[Tuple[int, int, int]]:
+    def __post_init__(self):
         if self.max_degree not in (2, 3):
             raise Unsupported("search supports max_degree 2 or 3")
-        return triple_monomials(self.max_degree)
+        self._monos = triple_monomials(self.max_degree)
+        self._fixed = self._pins()
+        self._free = [i for i in range(3 * len(self._monos)) if i not in self._fixed]
 
-    def fixed_values(self) -> Dict[int, int]:
-        """Map from coefficient-vector position to its pinned value."""
-        monos = self.monomials()
+    def _pins(self) -> Dict[int, int]:
+        monos, q = self._monos, self.ctx.q
         n = len(monos)
         if self.restriction == "full":
             return {}
@@ -60,7 +63,13 @@ class SearchConfig:
         fixed = {}
         index = {m: j for j, m in enumerate(monos)}
         for fi, fname in enumerate(("f1", "f2", "f3")):
-            for mono_text, val in (self.restriction.get(fname) or {}).items():
+            pins = self.restriction.get(fname) or {}
+            if not isinstance(pins, dict):
+                raise ParseError(f'mask {fname!r} must map monomials to integers or "free"')
+            for mono_text, val in pins.items():
+                if not (type(val) is int or isinstance(val, str)):
+                    raise ParseError(f'mask {fname!r} must map monomials to integers or "free"; '
+                                     f'key {mono_text!r} holds {val!r}')
                 probe = MPoly.parse(mono_text, self.ctx, 3)
                 if len(probe.terms) != 1:
                     raise Unsupported(f"mask key {mono_text!r} is not a monomial")
@@ -74,12 +83,21 @@ class SearchConfig:
                     if val != "free":
                         raise Unsupported(f"mask value {val!r} not an integer or 'free'")
                     continue
-                fixed[fi * n + index[exps]] = int(val) % self.ctx.q
+                if not 0 <= val < q:
+                    raise ParseError(f"mask {fname!r} key {mono_text!r}: value {val} "
+                                     f"outside [0, {q})")
+                fixed[fi * n + index[exps]] = val
         return fixed
 
+    def monomials(self) -> List[Tuple[int, int, int]]:
+        return self._monos
+
+    def fixed_values(self) -> Dict[int, int]:
+        """Map from coefficient-vector position to its pinned value."""
+        return self._fixed
+
     def candidate_count(self) -> int:
-        free = 3 * len(self.monomials()) - len(self.fixed_values())
-        return self.ctx.q ** free
+        return self.ctx.q ** len(self._free)
 
 
 @dataclass
@@ -102,34 +120,24 @@ class SearchResult:
 
     def to_json_dict(self, max_listed: int = 1000) -> dict:
         listed = self.found_indices[:max_listed]
-        layout = _layout(self.config)
         return {
             "candidates_tested": self.candidates_tested,
             "ovoids_found": len(self.found_indices),
-            "specs": [spec_from_index(self.config, i, layout).render_lines() for i in listed],
+            "specs": [spec_from_index(self.config, i).render_lines() for i in listed],
             "candidate_indices": [int(i) for i in self.found_indices],
             "truncated": len(self.found_indices) > max_listed,
             "elapsed_ms": round(self.elapsed * 1000.0, 3),
         }
 
 
-def _layout(cfg: SearchConfig):
-    """(monomials, pinned positions, free positions) of the coefficient vector."""
-    monos = cfg.monomials()
-    fixed = cfg.fixed_values()
-    return monos, fixed, [i for i in range(3 * len(monos)) if i not in fixed]
-
-
-def spec_from_index(cfg: SearchConfig, candidate_index: int, layout=None) -> OvoidSpec:
-    """The triple of one candidate; pass `_layout(cfg)` to decode many."""
-    monos, fixed, free_pos = layout or _layout(cfg)
+def spec_from_index(cfg: SearchConfig, candidate_index: int) -> OvoidSpec:
+    """The triple of one candidate."""
+    monos = cfg._monos
     n = len(monos)
     q = cfg.ctx.q
-    vec = [0] * (3 * n)
-    for pos, val in fixed.items():
-        vec[pos] = val
+    vec = [cfg._fixed.get(pos, 0) for pos in range(3 * n)]
     k = candidate_index
-    for pos in reversed(free_pos):     # last free position varies fastest
+    for pos in reversed(cfg._free):    # last free position varies fastest
         vec[pos] = k % q
         k //= q
     polys = []
@@ -140,23 +148,17 @@ def spec_from_index(cfg: SearchConfig, candidate_index: int, layout=None) -> Ovo
 
 
 def index_of_spec(cfg: SearchConfig, spec: OvoidSpec) -> Optional[int]:
-    monos = cfg.monomials()
-    fixed = cfg.fixed_values()
-    vec = []
-    for f in spec.polys():
-        for key in f.terms:
-            if unpack_exps(key, 3) not in monos:
-                return None
-        for m in monos:
-            vec.append(f.coeff_raw(m))
+    """The candidate index of a triple, or None outside the search space."""
+    monos = cfg._monos
+    polys = spec.polys()
+    if any(unpack_exps(key, 3) not in monos for f in polys for key in f.terms):
+        return None
+    vec = [f.coeff_raw(m) for f in polys for m in monos]
+    if any(vec[pos] != val for pos, val in cfg._fixed.items()):
+        return None
     idx = 0
-    q = cfg.ctx.q
-    for pos, val in enumerate(vec):
-        if pos in fixed:
-            if fixed[pos] != val:
-                return None
-        else:
-            idx = idx * q + val
+    for pos in cfg._free:
+        idx = idx * cfg.ctx.q + vec[pos]
     return idx
 
 
@@ -190,9 +192,8 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
     t0 = time.perf_counter()
     ctx = cfg.ctx
     q = ctx.q
-    monos = cfg.monomials()
+    monos, fixed = cfg._monos, cfg._fixed
     n = len(monos)
-    fixed = cfg.fixed_values()
     enc, zero = _pairscan.lane_encoding(ctx)
 
     # value tables of each monomial on the q^3 grid, in scan order
@@ -208,7 +209,7 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
     comps = []
     for c in range(3):
         coeffs = [fixed.get(c * n + j, 0) for j in range(n)]
-        free = [j for j in range(n) if c * n + j not in fixed]
+        free = [i - c * n for i in cfg._free if i // n == c]
         low = 0
         while low < len(free) and q ** (low + 1) * npts <= CHUNK_ELEMS:
             low += 1

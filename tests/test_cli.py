@@ -402,6 +402,13 @@ def _quadric_witness(**changes):
     ("quadric-check", _quadric_witness(k="2"), "'k' must be an integer or null"),
     ("quadric-check", [1, 2], "does not hold a JSON object"),
     ("plane-check", {"alpha": [0, 1, 0]}, "'beta' must be a list of 3 integers"),
+    # entries are F_q coordinates: 3 at q = 2 is refused, not read as an
+    # element of F_4
+    ("quadric-check", _quadric_witness(QR=[0, 3, 1, 0, 0, 1]), "'QR' has an entry outside [0, 2)"),
+    ("quadric-check", _quadric_witness(NR=[0, 1, -1, 0]), "'NR' has an entry outside [0, 2)"),
+    ("quadric-check", _quadric_witness(xi=[0, 2]), "'xi' has an entry outside [0, 2)"),
+    ("quadric-check", _quadric_witness(k=5), "'k' must be an integer or null"),
+    ("plane-check", {"alpha": [0, 1, 0], "beta": [0, 0, 4]}, "'beta' has an entry outside [0, 4)"),
 ])
 def test_malformed_witness_file_is_a_parse_error(tmp_path, capsys, action, data, message):
     from ovoid7.cli import main
@@ -424,6 +431,8 @@ def test_malformed_witness_file_is_a_parse_error(tmp_path, capsys, action, data,
     (json.dumps({"f1": ["x"]}), "'f1' must map monomials to integers or \"free\""),
     (json.dumps({"f2": {"x": 1.5}}), "'f2' must map monomials"),
     (json.dumps({"f3": {"x": None}}), "'f3' must map monomials"),
+    (json.dumps({"f1": {"x": 3}}), "'f1' key 'x': value 3 outside [0, 2)"),
+    (json.dumps({"f2": {"y": -1}}), "'f2' key 'y': value -1 outside [0, 2)"),
     ("{not json", "cannot read mask file"),
 ])
 def test_malformed_mask_file_is_a_parse_error(tmp_path, capsys, text, message):
@@ -445,6 +454,11 @@ def test_malformed_mask_file_is_a_parse_error(tmp_path, capsys, text, message):
     ("famiglia1", "5", "C4=7", "parameter C4 7 outside [0, 5)"),
     ("famiglia1", "5", "a100=5", "parameter a100 5 outside [0, 5)"),
     ("famiglia2", "8", "b001=-3", "parameter b001 -3 outside [0, 8)"),
+    ("kantor-even", "4", "alpha=[0,4,0]", "parameter alpha [0,4,0] has an entry outside [0, 4)"),
+    # a name the family does not read is refused, not ignored
+    ("famiglia1", "5", "C5=1",
+     "family famiglia1 has no parameter C5; known: eps, C4, D4, a010, b100, a100"),
+    ("kantor-simple", "2", "mu=3", "family kantor-simple has no parameter mu; known: none"),
 ])
 def test_out_of_range_param_is_a_parse_error(capsys, family, q, param, message):
     from ovoid7.cli import main

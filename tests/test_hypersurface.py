@@ -326,6 +326,19 @@ def test_quadric_residual_galois_rationality():
     assert res2.try_descend().ctx is ctx
 
 
+def test_quadric_residual_reads_witness_entries_in_the_base_field():
+    # at q = 2 the entry 3 is the base-field element 1, never the packed
+    # extension element 1 + t
+    ctx = make_field(2, 1)
+    spec = famiglia2(ctx, Famiglia2Params())
+    w = solve_quadric_witness(spec, {})
+    big = QuadricWitness(ctx=ctx, QR=tuple(v + 2 * (v == 1) for v in w.QR), QS=w.QS,
+                         LR=w.LR, MR=w.MR, NR=w.NR, xi=w.xi)
+    assert big.QR != w.QR
+    assert quadric_product_residual(spec, big) == quadric_product_residual(spec, w)
+    assert quadric_product_residual(spec, big).is_zero()
+
+
 # -- bounds -----------------------------------------------------------------------------
 
 

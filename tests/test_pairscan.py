@@ -134,6 +134,27 @@ def test_early_exit_past_first_block_q16(threads):
     assert early.pairs_checked == pairs_before(4096, 1536) == 5111040
 
 
+def test_one_block_scan_makes_no_pool(monkeypatch):
+    # q = 4: 64 triples fit in one block, so threads=4 runs without a pool
+    spec = kantor_simple(make_field(2, 2))
+    tables = [t.copy() for t in spec.value_tables()]
+    tables_fail = [t.copy() for t in tables]
+    for t in tables_fail:
+        t[40] = t[3]
+    want = [_pairscan.pair_scan(spec.ctx, t, early_exit=e, threads=1)
+            for t in (tables, tables_fail) for e in (False, True)]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-block scan built a thread pool")
+
+    monkeypatch.setattr(_pairscan, "ThreadPoolExecutor", no_pool)
+    got = [_pairscan.pair_scan(spec.ctx, t, early_exit=e, threads=4)
+           for t in (tables, tables_fail) for e in (False, True)]
+    assert [(r.zero_pairs, r.first_zero, r.pairs_checked) for r in got] == \
+        [(r.zero_pairs, r.first_zero, r.pairs_checked) for r in want]
+    assert want[2].zero_pairs == 1 and want[3].first_zero == (3, 40)
+
+
 def prime_powers_up_to(limit):
     return [tuple(*factorize(q).items()) for q in range(2, limit + 1) if len(factorize(q)) == 1]
 

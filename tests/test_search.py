@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovoid7 import search
-from ovoid7.errors import BudgetExceeded, Unsupported
+from ovoid7.errors import BudgetExceeded, ParseError, Unsupported
 from ovoid7.ff import ExtCtx, make_field
 from ovoid7.mpoly import MPoly
 from ovoid7.families import default_tower_basis, kantor_even, kantor_simple
@@ -84,6 +84,9 @@ def test_mask_free_marker_and_errors():
         SearchConfig(ctx, max_degree=2, restriction={"f1": {"x^3": 0}}).fixed_values()
     with pytest.raises(Unsupported):
         SearchConfig(ctx, max_degree=2, restriction={"f1": {"x+y": 0}}).fixed_values()
+    # a pinned value is a field element: 3 at q = 2 is refused, not reduced
+    with pytest.raises(ParseError, match=r"'f1' key 'x': value 3 outside \[0, 2\)"):
+        SearchConfig(ctx, max_degree=2, restriction={"f1": {"x": 3}})
 
 
 def test_search_matches_brute_force_on_subspace():
@@ -175,6 +178,26 @@ def test_search_matches_brute_force(spread, data):
         res = exhaustive_triple_search(cfg)
     assert res.candidates_tested == cfg.candidate_count()
     assert res.found_indices == _brute_force(cfg)
+
+
+def test_mask_is_parsed_once_per_key():
+    """The restriction is resolved when the config is built: one MPoly.parse
+    per mask key, and none while decoding, encoding, counting, searching or
+    reporting."""
+    ctx = make_field(2, 2)
+    monos = triple_monomials(2)
+    mask = _mask(monos, {0, 1, len(monos) + 2}, _kantor_coeffs(ctx, monos))
+    ks = kantor_simple(ctx)
+    with mock.patch.object(MPoly, "parse", wraps=MPoly.parse) as parse:
+        cfg = SearchConfig(ctx, max_degree=2, restriction=mask)
+        assert parse.call_count == sum(len(pins) for pins in mask.values()) == 27
+        parse.reset_mock()
+        res = exhaustive_triple_search(cfg)
+        idx = index_of_spec(cfg, ks)
+        assert spec_from_index(cfg, idx).polys() == ks.polys()
+        assert idx in res.found_indices and cfg.candidate_count() == 4 ** 3
+        assert len(res.to_json_dict()["specs"]) == len(res.found_indices)
+        assert parse.call_count == 0
 
 
 def test_lopsided_mask_matches_brute_force():
