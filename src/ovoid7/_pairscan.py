@@ -18,16 +18,21 @@ gathered from per-field grids of v_sub and v_mul results (q^2 entries
 per row and term, 1/q of the pair work).  Column j carries the uint16 keys
 3*(u_j*q + g_j) + k, computed once per scan.  A step of r rows gathers,
 for every key of its columns, the r entries of T under that key in one
-copy, so each pair costs three lookups, two uint16 adds and one lookup in
-a zero table.
+copy, so each pair costs three lookups, two uint16 adds and one zero
+test on the sum.
 
 enc spreads the h base-p digits of an element into s-bit lanes with
 2^s > 3(p - 1), so a sum of three encodings never carries from one lane
 into the next, and lane by lane it equals the field sum up to multiples
-of p.  A boolean table over the 2^(s*h) possible sums (at most 4096 for
-q <= 64) marks those whose lanes are all 0 mod p, that is L(i, j) = 0.
-The same encoding serves prime, characteristic-2 and other prime-power
-fields.  These per-field constants are built once per field context.
+of p.  L(i, j) = 0 exactly when every lane of the sum is 0 mod p.  In
+characteristics 2 and 3 the zero test reads bit 0 of each lane after a
+few shifts and bitwise operations on the uint16 sums themselves (see
+_even_zero and _ternary_zero).  For p >= 5 it is a lookup in a boolean
+table over the 2^(s*h) possible sums (at most 4096 for q <= 64), which
+widens each sum to an index and gathers: about twice the time of the
+three term lookups together.  The same encoding serves every field, and
+the search's origin-row prefilter uses the same zero test.  These
+per-field constants are built once per field context.
 
 Rows are scanned in blocks of about BLOCK_ELEMS pairs, the unit of early
 exit and of pairs_checked; a block is worked through in steps of about
@@ -89,29 +94,54 @@ def eval_on_grid(poly, ctx: FieldCtx, xs, ys, zs):
     return out
 
 
+def _even_zero(low, t):
+    """Characteristic 2: a lane holds 0..3 and is 0 mod 2 iff its bit 0 is
+    clear."""
+    return (t & low) == 0
+
+
+def _ternary_zero(low, t):
+    """Characteristic 3: a lane holds 0..6 in bits b2 b1 b0, and 0, 3 and 6
+    are exactly the values with b1 == b0 | b2.  Only bit 0 of each lane is
+    kept, so the shifts never mix lanes."""
+    return (((t | t >> 2) ^ (t >> 1)) & low) == 0
+
+
+# characteristic -> lane bit test; other fields look sums up in a table
+_LANE_TESTS = {2: _even_zero, 3: _ternary_zero}
+
+
 def lane_encoding(ctx: FieldCtx):
-    """(enc, zero): enc[v] holds the base-p digits of v in s-bit lanes,
-    2^s > 3(p - 1); zero[t] says whether every lane of t is 0 mod p."""
+    """(enc, is_zero): enc[v] holds the base-p digits of v in s-bit lanes,
+    2^s > 3(p - 1); is_zero(t) takes a uint16 array of sums of three
+    encodings and says for each sum whether every lane is 0 mod p.  In
+    characteristics 2 and 3 that is a bit test on the lanes, valid only
+    for such sums (each lane at most 3(p - 1): the char-3 test reads a
+    lane of 7 as 0); otherwise a lookup in a boolean table over the
+    2^(s*h) possible sums."""
     p, h = ctx.p, ctx.h
     s = (3 * (p - 1)).bit_length()
     if s * h > 16 or 3 * ctx.q ** 2 > 1 << 16:
         raise Unsupported(f"the pair kernel's 16-bit lanes and keys do not fit q={ctx.q}")
     v = np.arange(ctx.q)
+    enc = sum((v // p ** i % p) << (s * i) for i in range(h)).astype(np.uint16)
+    if p in _LANE_TESTS:
+        low = np.uint16(sum(1 << (s * i) for i in range(h)))
+        return enc, functools.partial(_LANE_TESTS[p], low)
     t = np.arange(1 << (s * h))
-    enc = np.zeros(ctx.q, dtype=np.int64)
     zero = np.ones(len(t), dtype=bool)
     for i in range(h):
-        enc += (v // p ** i % p) << (s * i)
         zero &= (t >> (s * i) & ((1 << s) - 1)) % p == 0
-    return enc.astype(np.uint16), zero
+    zero.flags.writeable = False
+    return enc, zero.take
 
 
 @functools.lru_cache(maxsize=64)
 def _constants(ctx: FieldCtx):
-    """Per-field constants: prod[a*q + b] = enc(a*b), the zero table, the key
+    """Per-field constants: prod[a*q + b] = enc(a*b), the zero test, the key
     grids left[a, u] = (u - a)*q and right[b, g] = b - g, and the matrix that
     maps the six value tables to the column keys 3*(u*q + g)."""
-    enc, zero = lane_encoding(ctx)
+    enc, is_zero = lane_encoding(ctx)
     q = ctx.q
     ar = np.arange(q)
     prod = enc[ctx.v_mul(ar[:, None], ar[None, :])].ravel()
@@ -119,10 +149,9 @@ def _constants(ctx: FieldCtx):
     right = ctx.v_sub(ar[:, None], ar[None, :])
     # rows: (x, f3), (y, f2), (z, f1) out of (x, y, z, f1, f2, f3)
     mix = np.array([[3 * q, 0, 0, 0, 0, 3], [0, 3 * q, 0, 0, 3, 0], [0, 0, 3 * q, 3, 0, 0]])
-    out = prod, zero, left, right, mix
-    for a in out:
+    for a in (prod, left, right, mix):
         a.flags.writeable = False       # shared by every scan over this field
-    return out
+    return prod, is_zero, left, right, mix
 
 
 @functools.lru_cache(maxsize=64)
@@ -151,7 +180,7 @@ def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> Pair
     of L; otherwise every pair is visited and zeros are counted exactly.
     """
     q = ctx.q
-    prod, zero, left, right, mix = _constants(ctx)
+    prod, is_zero, left, right, mix = _constants(ctx)
     vals = np.array(tables)
     # term k pairs u = (x, y, z)[k] with g = (f3, f2, f1)[k]
     us, gs = vals[:3], vals[5:2:-1]
@@ -180,7 +209,7 @@ def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> Pair
             terms = table[:, a - s:a - s + r].take(keys[:, a + 1:], axis=0)
             acc = terms[0] + terms[1]
             acc += terms[2]
-            hit = zero.take(acc)
+            hit = is_zero(acc)
             hit[:r - 1] &= lower[:r - 1, :r]
             m = int(np.count_nonzero(hit))
             if m:

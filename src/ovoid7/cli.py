@@ -148,6 +148,9 @@ def _parse_tower_elem(ext: ExtCtx, name: str, text: str) -> TowerElem:
             coords = [int(v) for v in text[1:-1].split(",")]
         except ValueError:
             raise ParseError(f"bad element {text!r}") from None
+        if len(coords) != ext.n:
+            raise ParseError(f"parameter {name} {text} has {len(coords)} entries, "
+                             f"expected {ext.n}")
         if not all(0 <= c < ext.q for c in coords):
             raise ParseError(f"parameter {name} {text} has an entry outside [0, {ext.q})")
         return ext.element(coords)

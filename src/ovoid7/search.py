@@ -46,6 +46,8 @@ class SearchConfig:
         if self.max_degree not in (2, 3):
             raise Unsupported("search supports max_degree 2 or 3")
         self._monos = triple_monomials(self.max_degree)
+        # each monomial as MPoly.render writes it, for reports of hits
+        self._mono_text = [MPoly.from_dict(self.ctx, 3, {m: 1}).render() for m in self._monos]
         self._fixed = self._pins()
         self._free = [i for i in range(3 * len(self._monos)) if i not in self._fixed]
 
@@ -66,6 +68,7 @@ class SearchConfig:
             pins = self.restriction.get(fname) or {}
             if not isinstance(pins, dict):
                 raise ParseError(f'mask {fname!r} must map monomials to integers or "free"')
+            seen = {}                   # monomial -> the key that named it
             for mono_text, val in pins.items():
                 if not (type(val) is int or isinstance(val, str)):
                     raise ParseError(f'mask {fname!r} must map monomials to integers or "free"; '
@@ -79,6 +82,10 @@ class SearchConfig:
                 exps = unpack_exps(key, 3)
                 if exps not in index:
                     raise Unsupported(f"monomial {mono_text!r} outside degree bound")
+                if exps in seen:
+                    raise ParseError(f"mask {fname!r} names one monomial twice: keys "
+                                     f"{seen[exps]!r} and {mono_text!r}")
+                seen[exps] = mono_text
                 if isinstance(val, str):
                     if val != "free":
                         raise Unsupported(f"mask value {val!r} not an integer or 'free'")
@@ -98,6 +105,25 @@ class SearchConfig:
 
     def candidate_count(self) -> int:
         return self.ctx.q ** len(self._free)
+
+    def vector(self, candidate_index: int) -> List[int]:
+        """The coefficient vector of one candidate."""
+        q = self.ctx.q
+        vec = [self._fixed.get(pos, 0) for pos in range(3 * len(self._monos))]
+        k = candidate_index
+        for pos in reversed(self._free):    # last free position varies fastest
+            vec[pos] = k % q
+            k //= q
+        return vec
+
+    def spec_lines(self, candidate_index: int) -> List[str]:
+        """spec_from_index(self, i).render_lines(), joined from the monomial
+        texts: the monomials are already in MPoly's render order."""
+        n = len(self._monos)
+        vec = self.vector(candidate_index)
+        return ["+".join(t if c == 1 else f"{c}*{t}"
+                         for t, c in zip(self._mono_text, vec[i * n:(i + 1) * n]) if c) or "0"
+                for i in range(3)]
 
 
 @dataclass
@@ -123,7 +149,7 @@ class SearchResult:
         return {
             "candidates_tested": self.candidates_tested,
             "ovoids_found": len(self.found_indices),
-            "specs": [spec_from_index(self.config, i).render_lines() for i in listed],
+            "specs": [self.config.spec_lines(i) for i in listed],
             "candidate_indices": [int(i) for i in self.found_indices],
             "truncated": len(self.found_indices) > max_listed,
             "elapsed_ms": round(self.elapsed * 1000.0, 3),
@@ -134,12 +160,7 @@ def spec_from_index(cfg: SearchConfig, candidate_index: int) -> OvoidSpec:
     """The triple of one candidate."""
     monos = cfg._monos
     n = len(monos)
-    q = cfg.ctx.q
-    vec = [cfg._fixed.get(pos, 0) for pos in range(3 * n)]
-    k = candidate_index
-    for pos in reversed(cfg._free):    # last free position varies fastest
-        vec[pos] = k % q
-        k //= q
+    vec = cfg.vector(candidate_index)
     polys = []
     for i in range(3):
         d = {m: vec[i * n + j] for j, m in enumerate(monos) if vec[i * n + j]}
@@ -163,7 +184,8 @@ def index_of_spec(cfg: SearchConfig, spec: OvoidSpec) -> Optional[int]:
 
 
 # Table entries in one chunk of a component's blocks, and prefilter sums in
-# one step (the zero-table lookup widens each 2-byte sum to an 8-byte index).
+# one step (a zero-table lookup, for p >= 5, widens each 2-byte sum to an
+# 8-byte index).
 CHUNK_ELEMS = 1 << 22
 STEP_ELEMS = 1 << 18
 
@@ -182,8 +204,8 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
     deduplicated (at q = 2, x^2 = x folds the 512 blocks of a component to
     64 tables).  Every triple of distinct tables then passes an exact
     origin-row prefilter, x f3 + y f2 + z f1 != 0 off the origin, computed
-    as a sum of the pair kernel's lane encodings and one zero-table lookup
-    per point; survivors get an early-exit pair scan.  The blocks of each
+    as a sum of the pair kernel's lane encodings and its zero test per
+    point; survivors get an early-exit pair scan.  The blocks of each
     passing triple expand to candidate indices, returned in increasing order.
     """
     count = cfg.candidate_count()
@@ -194,7 +216,7 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
     q = ctx.q
     monos, fixed = cfg._monos, cfg._fixed
     n = len(monos)
-    enc, zero = _pairscan.lane_encoding(ctx)
+    enc, is_zero = _pairscan.lane_encoding(ctx)
 
     # value tables of each monomial on the q^3 grid, in scan order
     xs, ys, zs = _pairscan.coordinate_arrays(q)
@@ -236,7 +258,7 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
         for lo in range(0, len(t1) * len(t2), step):
             a, b = np.divmod(np.arange(lo, min(lo + step, len(t1) * len(t2))), len(t2))
             sums = (e1[a] + e2[b])[:, None, :] + e3[None]
-            alive = ~zero.take(sums).any(axis=2)
+            alive = ~is_zero(sums).any(axis=2)
             for r, c in zip(*np.nonzero(alive)):
                 rows = (a[r], b[r], c)
                 tables = (xs, ys, zs) + tuple(tabs[i] for (tabs, _, _, _), i in zip(parts, rows))

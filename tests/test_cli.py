@@ -434,6 +434,9 @@ def test_malformed_witness_file_is_a_parse_error(tmp_path, capsys, action, data,
     (json.dumps({"f1": {"x": 3}}), "'f1' key 'x': value 3 outside [0, 2)"),
     (json.dumps({"f2": {"y": -1}}), "'f2' key 'y': value -1 outside [0, 2)"),
     ("{not json", "cannot read mask file"),
+    # two keys for one monomial would otherwise keep the last value
+    (json.dumps({"f1": {"x*y": 1, "y*x": 0}}),
+     "mask 'f1' names one monomial twice: keys 'x*y' and 'y*x'"),
 ])
 def test_malformed_mask_file_is_a_parse_error(tmp_path, capsys, text, message):
     from ovoid7.cli import main
@@ -459,6 +462,9 @@ def test_malformed_mask_file_is_a_parse_error(tmp_path, capsys, text, message):
     ("famiglia1", "5", "C5=1",
      "family famiglia1 has no parameter C5; known: eps, C4, D4, a010, b100, a100"),
     ("kantor-simple", "2", "mu=3", "family kantor-simple has no parameter mu; known: none"),
+    # a coordinate list has one entry per coordinate of F_{q^3}
+    ("kantor-even", "4", "alpha=[0,1]", "parameter alpha [0,1] has 2 entries, expected 3"),
+    ("kantor-even", "4", "beta=[0,0,1,0]", "parameter beta [0,0,1,0] has 4 entries, expected 3"),
 ])
 def test_out_of_range_param_is_a_parse_error(capsys, family, q, param, message):
     from ovoid7.cli import main

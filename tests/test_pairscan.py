@@ -9,7 +9,7 @@ import pytest
 
 from ovoid7 import _pairscan
 from ovoid7.errors import Unsupported
-from ovoid7.families import kantor_simple
+from ovoid7.families import kantor_simple, ree_tits
 from ovoid7.ff import factorize, make_field
 from ovoid7.mpoly import MPoly
 from ovoid7.quadric import OvoidSpec, collinearity_value
@@ -61,6 +61,15 @@ def scalar_oracle(spec):
 def pairs_before(n, rows):
     """Unordered pairs (i, j), i < j, with i < rows."""
     return rows * (n - 1) - rows * (rows - 1) // 2
+
+
+def _with_planted_pair(spec, i, j):
+    """The value tables of an ovoid with triple j's values copied from
+    triple i: (i, j) is then the only zero pair."""
+    tables = [t.copy() for t in spec.value_tables()]
+    for t in tables:
+        t[j] = t[i]
+    return tables
 
 
 def specs_for(q):
@@ -123,10 +132,8 @@ def test_early_exit_past_first_block_q16(threads):
     # is an ovoid there; copying triple i onto triple j makes (i, j) the
     # only zero pair, since every other pair still joins two ovoid points.
     spec = kantor_simple(make_field(2, 4))
-    tables = [t.copy() for t in spec.value_tables()]
     i, j = 1100, 2000                      # row 1100 lies in block 2 (rows 1024..1535)
-    for t in tables:
-        t[j] = t[i]
+    tables = _with_planted_pair(spec, i, j)
     full = _pairscan.pair_scan(spec.ctx, tables, early_exit=False, threads=threads)
     assert (full.zero_pairs, full.first_zero) == (1, (i, j))
     early = _pairscan.pair_scan(spec.ctx, tables, early_exit=True, threads=threads)
@@ -137,10 +144,8 @@ def test_early_exit_past_first_block_q16(threads):
 def test_one_block_scan_makes_no_pool(monkeypatch):
     # q = 4: 64 triples fit in one block, so threads=4 runs without a pool
     spec = kantor_simple(make_field(2, 2))
-    tables = [t.copy() for t in spec.value_tables()]
-    tables_fail = [t.copy() for t in tables]
-    for t in tables_fail:
-        t[40] = t[3]
+    tables = spec.value_tables()
+    tables_fail = _with_planted_pair(spec, 3, 40)
     want = [_pairscan.pair_scan(spec.ctx, t, early_exit=e, threads=1)
             for t in (tables, tables_fail) for e in (False, True)]
 
@@ -163,9 +168,8 @@ def prime_powers_up_to(limit):
 def test_lane_encoding_bounds(p, h):
     ctx = make_field(p, h)
     q = ctx.q
-    enc, zero = _pairscan.lane_encoding(ctx)
-    s = (len(zero).bit_length() - 1) // h
-    assert len(zero) == 1 << (s * h)
+    enc, is_zero = _pairscan.lane_encoding(ctx)
+    s = (3 * (p - 1)).bit_length()
     lane = (1 << s) - 1
     # each lane holds one base-p digit and has room for a sum of three
     assert 1 << s > 3 * (p - 1)
@@ -173,16 +177,57 @@ def test_lane_encoding_bounds(p, h):
         assert [(int(enc[v]) >> (s * i)) & lane for i in range(h)] == list(ctx.digits(v))
     # a sum of three encodings fits the lane dtype, and so do the column keys
     assert enc.dtype == np.uint16
-    assert 3 * int(enc.max()) < len(zero) <= 1 << 16
+    assert 3 * int(enc.max()) < 1 << (s * h) <= 1 << 16
     mix = _pairscan._constants(ctx)[4]
     assert int((mix @ np.full(6, q - 1)).max()) + 2 <= np.iinfo(np.uint16).max
-    # the zero table marks exactly the sums whose lanes are all 0 mod p
-    expected = [all(((t >> (s * i)) & lane) % p == 0 for i in range(h)) for t in range(len(zero))]
-    assert zero.tolist() == expected
+    # the zero test (a lane bit test for p = 2, 3, a table otherwise) marks
+    # exactly the sums whose lanes are all 0 mod p, over every value a sum
+    # can take: each lane at most 3(p - 1).  That is all 2^(s*h) values
+    # except at p = 3, where a lane never holds 7.
+    lanes = [[(v >> (s * i)) & lane for i in range(h)] for v in range(1 << (s * h))]
+    t = np.array([v for v, ls in enumerate(lanes) if max(ls) <= 3 * (p - 1)], dtype=np.uint16)
+    assert len(t) == (3 * p - 2) ** h
+    assert is_zero(t).tolist() == [all(ls_i % p == 0 for ls_i in lanes[v]) for v in t.tolist()]
     # ... which are exactly the sums of three encodings adding to 0 in F_q
     a, b, c = (g.ravel() for g in np.meshgrid(*[np.arange(q)] * 3, indexing="ij"))
     field_zero = ctx.v_add(ctx.v_add(a, b), c) == 0
-    assert (zero[enc[a].astype(np.int64) + enc[b] + enc[c]] == field_zero).all()
+    assert (is_zero(enc[a] + enc[b] + enc[c]) == field_zero).all()
+
+
+@pytest.mark.parametrize("q", [9, 16, 27])
+def test_lane_bit_test_matches_table_fallback(q, monkeypatch):
+    # the same scans with the zero test forced to the table lookup of p >= 5
+    ctx = make_field(*tuple(*factorize(q).items()))
+    rng = random.Random(2000 + q)
+    ovoid = kantor_simple(ctx) if ctx.p == 2 else ree_tits(ctx) if q == 27 else None
+    # full scans up to q = 16; at q = 27 early exit only
+    fulls = (True, False) if q < 27 else (False,)
+    cases = [(rand_spec(ctx, rng).value_tables(), full) for full in fulls for _ in range(3)]
+    if ovoid is not None:
+        # the only zero pair lies in the fourth block (512 rows per block
+        # at q = 16, 106 at q = 27)
+        planted = _with_planted_pair(ovoid, 1600 if q == 16 else 330, q ** 3 - 5)
+        cases += [(planted, full) for full in fulls]
+
+    def scans():
+        return [(r.zero_pairs, r.first_zero, r.pairs_checked)
+                for tables, full in cases for threads in (1, 2)
+                for r in [_pairscan.pair_scan(ctx, tables, early_exit=not full,
+                                              threads=threads)]]
+
+    _pairscan._constants.cache_clear()
+    bit = scans()
+    monkeypatch.setattr(_pairscan, "_LANE_TESTS", {})
+    _pairscan._constants.cache_clear()
+    try:
+        assert _pairscan._constants(ctx)[1].__name__ == "take"
+        assert scans() == bit
+    finally:
+        _pairscan._constants.cache_clear()
+    # the scans found zeros, and the planted pair is found past the first block
+    assert any(first is not None for _, first, _ in bit)
+    if ovoid is not None:
+        assert bit[-1][1] == (1600 if q == 16 else 330, q ** 3 - 5)
 
 
 def test_lane_encoding_refuses_fields_past_16_bits():

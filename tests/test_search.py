@@ -87,6 +87,10 @@ def test_mask_free_marker_and_errors():
     # a pinned value is a field element: 3 at q = 2 is refused, not reduced
     with pytest.raises(ParseError, match=r"'f1' key 'x': value 3 outside \[0, 2\)"):
         SearchConfig(ctx, max_degree=2, restriction={"f1": {"x": 3}})
+    # two keys naming one monomial are refused, whatever their values
+    for pins in ({"x*y": 1, "y*x": 0}, {"x*y": "free", "y*x": 1}, {"z^2": 0, "z*z": 0}):
+        with pytest.raises(ParseError, match="'f2' names one monomial twice"):
+            SearchConfig(ctx, max_degree=2, restriction={"f2": pins})
 
 
 def test_search_matches_brute_force_on_subspace():
@@ -117,6 +121,21 @@ def test_q2_hits_are_pinned(restriction, hits, digest):
     assert res.candidates_tested == cfg.candidate_count()
     assert len(res.found_indices) == hits
     assert _digest(res.found_indices) == digest
+    # the report joins monomial texts; the rendered polynomials are the reference
+    assert res.to_json_dict()["specs"] == [res.spec_of(i).render_lines()
+                                           for i in res.found_indices[:1000]]
+
+
+@pytest.mark.parametrize("p,h,max_degree,restriction", [
+    (2, 1, 2, "full"), (2, 2, 3, "full"), (3, 1, 3, "homogeneous-top"),
+    (5, 1, 2, {"f2": {"x": 4, "y*z": "free"}, "f3": {"x^2": 3}}),
+])
+def test_spec_lines_match_rendered_specs(p, h, max_degree, restriction):
+    cfg = SearchConfig(make_field(p, h), max_degree=max_degree, restriction=restriction)
+    rng = random.Random(p * 10 + h)
+    count = cfg.candidate_count()
+    for i in [0, count - 1] + [rng.randrange(count) for _ in range(200)]:
+        assert cfg.spec_lines(i) == spec_from_index(cfg, i).render_lines()
 
 
 # -- the factored search against a per-candidate oracle ---------------------------
