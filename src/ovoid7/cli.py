@@ -140,27 +140,7 @@ def _param_int(params, name, limit=None, default=0):
 
 
 def _parse_tower_elem(ext: ExtCtx, name: str, text: str) -> TowerElem:
-    text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ParseError(f"bad element {text!r}")
-        try:
-            coords = [int(v) for v in text[1:-1].split(",")]
-        except ValueError:
-            raise ParseError(f"bad element {text!r}") from None
-        if len(coords) != ext.n:
-            raise ParseError(f"parameter {name} {text} has {len(coords)} entries, "
-                             f"expected {ext.n}")
-        if not all(0 <= c < ext.q for c in coords):
-            raise ParseError(f"parameter {name} {text} has an entry outside [0, {ext.q})")
-        return ext.element(coords)
-    try:
-        packed = int(text)
-    except ValueError:
-        raise ParseError(f"bad element {text!r}") from None
-    if not 0 <= packed < ext.order:
-        raise ParseError(f"parameter {name} {packed} outside [0, {ext.order})")
-    return ext.from_packed(packed)
+    return TowerElem(ext, ext.parse_element(text, f"parameter {name}"))
 
 
 # the --param names each family reads; every family also accepts all=0
@@ -189,8 +169,7 @@ def _construct(ctx, family: str, params: dict) -> tuple:
         else:
             basis = fam.default_tower_basis(ctx)
         choices = {"alpha": list(basis.alpha.coords), "beta": list(basis.beta.coords),
-                   "extension_modulus": [list(c) if isinstance(c, tuple) else c
-                                         for c in basis.ext.modulus]}
+                   "extension_modulus": list(basis.ext.modulus)}
         return fam.kantor_even(basis), choices
     if family == "thas-kantor":
         mu = _param_int(params, "mu", ctx.q)
@@ -231,10 +210,19 @@ def cmd_verify(args, ctx) -> tuple:
 
 
 def _read_json(path: str, kind: str) -> dict:
-    """The JSON object held in a witness or mask file."""
+    """The JSON object held in a witness or mask file; an object at any depth
+    that repeats a key is a ParseError, not a silent last-one-wins."""
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParseError(f"{kind} file {path} repeats key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=unique_keys)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read {kind} file: {exc}") from None
     if not isinstance(data, dict):
@@ -432,7 +420,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     report["manifest"] = _manifest(args, ctx, choices)
-    _emit(args, report, time.perf_counter() - t0)
+    try:
+        _emit(args, report, time.perf_counter() - t0)
+    except BrokenPipeError:
+        # the reader closed stdout early (say `| head`); the verdict stands, and
+        # pointing stdout at devnull keeps the interpreter's final flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return EXIT_OK if holds else EXIT_FAIL
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CompositeP, FieldMismatch, NotRational, Unsupported
+from .errors import CompositeP, FieldMismatch, NotRational, ParseError, Unsupported
 
 MAX_ORDER = 1 << 20
 # element tables (numpy + python lists) are only materialized below this
@@ -672,6 +672,25 @@ class ExtCtx:
         if len(coords) != self.n or any(not 0 <= c < self.q for c in coords):
             raise Unsupported("bad coordinate vector for extension element")
         return TowerElem(self, coords)
+
+    def parse_element(self, text: str, what: str) -> Tuple[int, ...]:
+        """The coordinates written as `[c0,...,c(n-1)]`, each in [0, q), or as
+        one packed integer in [0, q^n); a ParseError names `what` and the fault."""
+        text = text.strip()
+        listed = text.startswith("[") and text.endswith("]")
+        try:
+            values = [int(v) for v in (text[1:-1].split(",") if listed else [text])]
+        except ValueError:
+            raise ParseError(f"bad element {text!r}") from None
+        if not listed:
+            if not 0 <= values[0] < self.order:
+                raise ParseError(f"{what} {values[0]} outside [0, {self.order})")
+            return self.unpack(values[0])
+        if len(values) != self.n:
+            raise ParseError(f"{what} {text} has {len(values)} entries, expected {self.n}")
+        if not all(0 <= c < self.q for c in values):
+            raise ParseError(f"{what} {text} has an entry outside [0, {self.q})")
+        return tuple(values)
 
     def from_packed(self, e: int) -> TowerElem:
         return TowerElem(self, self.unpack(e))

@@ -23,7 +23,7 @@ from .errors import (DependentBasis, NotAQuadricPair, OddCharacteristic,
                      SquareMu, Unsupported, WrongCharacteristic, WrongResidue)
 from .ff import ExtCtx, FieldCtx, TowerElem
 from .mpoly import MPoly
-from .quadric import OvoidSpec, rank
+from .quadric import OvoidSpec, Report, rank
 
 
 def uvw(ctx) -> Tuple[MPoly, MPoly, MPoly]:
@@ -48,21 +48,12 @@ def diagonal_restriction(F: MPoly) -> MPoly:
 
 
 @dataclass
-class ScanReport:
+class ScanReport(Report):
     total: int
     off_diagonal: int
     witness: Optional[Tuple[Tuple[int, int, int], Tuple[int, int, int]]]
-    elapsed: float
     route: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "off_diagonal": self.off_diagonal,
-            "witness": [list(self.witness[0]), list(self.witness[1])] if self.witness else None,
-            "route": self.route,
-            "elapsed_ms": round(self.elapsed * 1000.0, 3),
-        }
+    elapsed: float
 
 
 def affine_point_scan(spec: OvoidSpec, threads: int = 1) -> ScanReport:
@@ -409,7 +400,7 @@ def solve_quadric_witness(spec: OvoidSpec, record: Optional[dict] = None) -> Qua
 
 
 @dataclass
-class BoundReport:
+class BoundReport(Report):
     r: int
     d: int
     q: int
@@ -419,19 +410,6 @@ class BoundReport:
     applicable: bool
     threshold_ok: bool
     lang_weil_constant: str = "not computed"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "d": self.d,
-            "q": self.q,
-            "center": self.center,
-            "lw_radius": self.lw_radius,
-            "cm_radius": self.cm_radius,
-            "applicable": self.applicable,
-            "threshold_ok": self.threshold_ok,
-            "lang_weil_constant": self.lang_weil_constant,
-        }
 
 
 def bound_report(r: int, d: int, q: int, precision: int = 50) -> BoundReport:

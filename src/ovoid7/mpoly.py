@@ -20,6 +20,7 @@ also the order used for hashing and JSON serialization.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -86,12 +87,10 @@ class MPoly:
         return cls(ctx, nvars, {} if _raw_is_zero(ctx, c) else {0: c})
 
     @classmethod
-    def variable(cls, ctx: Ctx, nvars: int, i: int, exp: int = 1) -> "MPoly":
+    def variable(cls, ctx: Ctx, nvars: int, i: int) -> "MPoly":
         if not 0 <= i < nvars:
             raise Unsupported(f"variable index {i} out of range")
-        if exp == 0:
-            return cls.constant(ctx, nvars, 1)
-        return cls(ctx, nvars, {pack_exps(tuple(exp if j == i else 0 for j in range(nvars))): _one_of(ctx)})
+        return cls(ctx, nvars, {1 << (EXP_BITS * i): _one_of(ctx)})
 
     @classmethod
     def from_dict(cls, ctx: Ctx, nvars: int, d: Dict[Tuple[int, ...], object]) -> "MPoly":
@@ -313,13 +312,20 @@ class MPoly:
         return f"MPoly({self.render()!r})"
 
 
+@functools.lru_cache(maxsize=None)
+def _carry_bits(nvars: int) -> int:
+    """The lowest bit of each field above an exponent field: a carry out of
+    exponent i lands on the bit at EXP_BITS * (i + 1)."""
+    return sum(1 << (EXP_BITS * (i + 1)) for i in range(nvars))
+
+
 def _add_keys(k1: int, k2: int, nvars: int) -> int:
-    e1 = unpack_exps(k1, nvars)
-    e2 = unpack_exps(k2, nvars)
-    summed = tuple(a + b for a, b in zip(e1, e2))
-    if any(e > MAX_EXP for e in summed):
+    """The key of a product of monomials: k1 + k2, refused when an exponent
+    sum passes MAX_EXP, which shows as a carry bit of k ^ k1 ^ k2."""
+    k = k1 + k2
+    if (k ^ k1 ^ k2) & _carry_bits(nvars):
         raise Unsupported(f"product exceeds the exponent cap {MAX_EXP}")
-    return pack_exps(summed)
+    return k
 
 
 def _raw_is_zero(ctx, c) -> bool:
@@ -411,21 +417,12 @@ def _parse_poly(text: str, ctx: Ctx, nvars: int) -> MPoly:
 
 
 def _parse_coeff(tok: str, ctx: Ctx):
-    if tok.startswith("["):
-        if not tok.endswith("]") or not _is_ext(ctx):
-            raise ParseError(f"bad coefficient {tok!r}")
-        try:
-            coords = tuple(int(x) for x in tok[1:-1].split(","))
-        except ValueError:
-            raise ParseError(f"bad coefficient {tok!r}") from None
-        if len(coords) != ctx.n or any(not 0 <= c < ctx.q for c in coords):
-            raise ParseError(f"coefficient {tok!r} has bad coordinates")
-        return coords
+    if _is_ext(ctx):
+        return ctx.parse_element(tok, "coefficient")
     try:
         v = int(tok)
     except ValueError:
         raise ParseError(f"bad coefficient {tok!r}") from None
-    q = ctx.order if _is_ext(ctx) else ctx.q
-    if not 0 <= v < q:
-        raise ParseError(f"coefficient {v} outside [0, {q})")
-    return ctx.unpack(v) if _is_ext(ctx) else v
+    if not 0 <= v < ctx.q:
+        raise ParseError(f"coefficient {v} outside [0, {ctx.q})")
+    return v

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from collections.abc import Sequence
 from typing import Iterable, List, Optional, Tuple
 
@@ -129,26 +129,34 @@ def ovoid_points(spec: OvoidSpec) -> List[Point]:
     return pts
 
 
+def _json_value(value):
+    return [_json_value(v) for v in value] if isinstance(value, tuple) else value
+
+
+class Report:
+    """A dataclass report whose JSON form lists its fields in declaration
+    order, with `elapsed` seconds written as `elapsed_ms` and tuples as lists."""
+
+    def to_json_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "elapsed":
+                out["elapsed_ms"] = round(value * 1000.0, 3)
+            else:
+                out[f.name] = _json_value(value)
+        return out
+
+
 @dataclass
-class VerificationReport:
+class VerificationReport(Report):
     is_ovoid: bool
     witness: Optional[Tuple[Triple, Triple]]
     pairs_checked: int
+    route: str
     elapsed: float
     q: int
     degree: int
-    route: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "is_ovoid": self.is_ovoid,
-            "witness": [list(self.witness[0]), list(self.witness[1])] if self.witness else None,
-            "pairs_checked": self.pairs_checked,
-            "route": self.route,
-            "elapsed_ms": round(self.elapsed * 1000.0, 3),
-            "q": self.q,
-            "degree": self.degree,
-        }
 
 
 def verify_ovoid(spec: OvoidSpec, threads: int = 1) -> VerificationReport:

@@ -357,14 +357,7 @@ def hyperplane_witness_search(ext: ExtCtx, budget: int = 10 ** 8) -> WitnessSear
     fr = ext.v_frobenius_packed
     mul = ext.v_mul_packed
     add = ext.v_add_packed
-
-    def tr4(x):
-        acc = x
-        y = x
-        for _ in range(3):
-            y = fr(y)
-            acc = add(acc, y)
-        return acc
+    tr4 = ext.v_trace_packed
 
     def tr42(x):
         return add(x, fr(fr(x)))

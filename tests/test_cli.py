@@ -210,6 +210,25 @@ def test_search_budget_exit_code():
     assert "unsupported" in r.stderr
 
 
+def test_reader_closing_the_pipe_keeps_the_verdict(tmp_path):
+    # the q = 2 search report is far larger than a pipe buffer, so the
+    # command is still writing when the reader closes its end
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(os.path.join(HERE, "..", "src")) + os.pathsep \
+        + env.get("PYTHONPATH", "")
+    out = tmp_path / "search.json"
+    proc = subprocess.Popen([sys.executable, "-m", "ovoid7.cli", "search", "--q", "2",
+                             "--no-timing", "--out", str(out)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0, err       # 4,096 ovoids found
+    assert err == ""                              # no BrokenPipeError traceback
+    assert len(out.read_bytes()) > 100 * 1024 and json.loads(out.read_text())["ovoids_found"] == 4096
+
+
 def test_threads_identical_output():
     a = run("verify", "--q", "4", "--spec", _spec_q4(), "--threads", "1", "--no-timing")
     b = run("verify", "--q", "4", "--spec", _spec_q4(), "--threads", "4", "--no-timing")
@@ -318,8 +337,8 @@ def test_every_report_matches_its_schema(tmp_path, capsys):
         code = main(argv + ["--no-timing", "--threads", "1", "--out", str(out)])
         text = capsys.readouterr().out
         report = json.loads(text)
-        assert set(report) == set(schemas[name]), name
-        assert set(report["manifest"]) == set(schemas["manifest"]), name
+        assert list(report) == list(schemas[name]), name
+        assert list(report["manifest"]) == list(schemas["manifest"]), name
         # the envelope: manifest last, timings zeroed, --out equal to stdout,
         # exit 0 exactly when the checked property holds
         assert list(report)[-1] == "manifest", name
@@ -409,6 +428,9 @@ def _quadric_witness(**changes):
     ("quadric-check", _quadric_witness(xi=[0, 2]), "'xi' has an entry outside [0, 2)"),
     ("quadric-check", _quadric_witness(k=5), "'k' must be an integer or null"),
     ("plane-check", {"alpha": [0, 1, 0], "beta": [0, 0, 4]}, "'beta' has an entry outside [0, 4)"),
+    # a repeated key would otherwise keep its last value
+    ("quadric-check", '{"QR": [0, 1, 1, 0, 0, 1], ' + json.dumps(_quadric_witness())[1:],
+     "repeats key 'QR'"),
 ])
 def test_malformed_witness_file_is_a_parse_error(tmp_path, capsys, action, data, message):
     from ovoid7.cli import main
@@ -418,7 +440,7 @@ def test_malformed_witness_file_is_a_parse_error(tmp_path, capsys, action, data,
     assert main(["construct", "--family", family[0], "--q", family[1], "--param", "all=0",
                  "--spec-out", spec]) == 0
     witness = tmp_path / "w.json"
-    witness.write_text(json.dumps(data))
+    witness.write_text(data if isinstance(data, str) else json.dumps(data))
     capsys.readouterr()
     assert main(["hypersurface", "--action", action, "--q", family[1], "--spec", spec,
                  "--witness", str(witness), "--no-timing"]) == 2      # EXIT_USAGE
@@ -437,6 +459,8 @@ def test_malformed_witness_file_is_a_parse_error(tmp_path, capsys, action, data,
     # two keys for one monomial would otherwise keep the last value
     (json.dumps({"f1": {"x*y": 1, "y*x": 0}}),
      "mask 'f1' names one monomial twice: keys 'x*y' and 'y*x'"),
+    ('{"f1": {"x*y": 1, "x*y": 0}}', "repeats key 'x*y'"),
+    ('{"f1": {"x": 1}, "f1": {"y": 1}}', "repeats key 'f1'"),
 ])
 def test_malformed_mask_file_is_a_parse_error(tmp_path, capsys, text, message):
     from ovoid7.cli import main

@@ -179,3 +179,8 @@ def test_failing_route_witness_is_pair_scan_witness():
     assert rep.route == "difference" and not rep.is_ovoid
     assert rep.witness == _pairscan.witness_triples(16, res.first_zero)
     assert rep.pairs_checked == res.pairs_checked
+    # scan mode counts on the route, then reruns the early-exit scan for the witness
+    scan = affine_point_scan(spec)
+    full = _pairscan.pair_scan(spec.ctx, spec.value_tables(), early_exit=False)
+    assert scan.route == "difference" and scan.witness == rep.witness
+    assert scan.off_diagonal == 2 * full.zero_pairs > 0

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ovoid7.errors import FieldMismatch, NotRational, ParseError, Unsupported
 from ovoid7.ff import ExtCtx, make_field
-from ovoid7.mpoly import MPoly
+from ovoid7.mpoly import MAX_EXP, MPoly, _add_keys, pack_exps, unpack_exps
 
 
 def rand_poly(ctx, rng, nvars=3, max_deg=3, max_terms=5):
@@ -124,6 +124,58 @@ def test_exponent_cap():
     P = MPoly.parse("x^60", ctx, 3)
     with pytest.raises(Unsupported):
         P * MPoly.parse("x^10", ctx, 3)
+
+
+def _add_keys_oracle(k1, k2, nvars):
+    """The definition: unpack both keys, add the exponents, pack the sums."""
+    summed = [a + b for a, b in zip(unpack_exps(k1, nvars), unpack_exps(k2, nvars))]
+    if any(e > MAX_EXP for e in summed):
+        raise Unsupported(f"product exceeds the exponent cap {MAX_EXP}")
+    return pack_exps(summed)
+
+
+def test_add_keys_matches_unpack_sum_pack():
+    rng = random.Random(11)
+    near_cap = list(range(MAX_EXP - 4, MAX_EXP + 1)) + [0, 1, 31, 32]
+
+    def exps(nvars):
+        return [rng.choice(near_cap) if rng.random() < 0.5 else rng.randrange(MAX_EXP + 1)
+                for _ in range(nvars)]
+
+    for _ in range(20000):
+        nvars = rng.randint(1, 6)
+        k1, k2 = pack_exps(exps(nvars)), pack_exps(exps(nvars))
+        try:
+            want = _add_keys_oracle(k1, k2, nvars)
+        except Unsupported:
+            with pytest.raises(Unsupported, match="exponent cap 63"):
+                _add_keys(k1, k2, nvars)
+        else:
+            assert _add_keys(k1, k2, nvars) == want
+    # a carry out of the last field alone, and sums landing exactly on the cap
+    for nvars in range(1, 7):
+        last = [0] * (nvars - 1)
+        with pytest.raises(Unsupported, match="exponent cap"):
+            _add_keys(pack_exps(last + [40]), pack_exps(last + [24]), nvars)
+        assert _add_keys(pack_exps(last + [40]), pack_exps(last + [23]), nvars) \
+            == pack_exps(last + [MAX_EXP])
+        full = [MAX_EXP] * nvars
+        assert _add_keys(pack_exps(full), 0, nvars) == pack_exps(full)
+
+
+def test_extension_coefficient_errors_name_the_fault():
+    ext = ExtCtx(make_field(2, 2), 2)
+    assert MPoly.parse("[1,3]*x", ext, 3).coeff_raw((1, 0, 0)) == (1, 3)
+    assert MPoly.parse("7*x", ext, 3).coeff_raw((1, 0, 0)) == (3, 1)
+    for text, message in (("[0,1,0]*x", "coefficient [0,1,0] has 3 entries, expected 2"),
+                          ("[1]*x", "coefficient [1] has 1 entries, expected 2"),
+                          ("[0,5]*x", "coefficient [0,5] has an entry outside [0, 4)"),
+                          ("16*x", "coefficient 16 outside [0, 16)"),
+                          ("[0,a]*x", "bad element '[0,a]'"),
+                          ("[0,1*x", "bad element '[0,1'")):
+        with pytest.raises(ParseError) as info:
+            MPoly.parse(text, ext, 3)
+        assert str(info.value) == message, text
 
 
 def test_lift_descend_round_trip():
