@@ -99,16 +99,23 @@ def _emit(args, report: dict, seconds: float) -> None:
         report["elapsed_ms"] = 0.0
     text = json.dumps(report, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        _write_file(args.out, text + "\n", "report")
     print(text)
+
+
+def _write_file(path: str, text: str, kind: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {kind} file: {exc}") from None
 
 
 def _load_spec(path: str, ctx) -> OvoidSpec:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read spec file: {exc}") from None
     if len(lines) != 3:
         raise ParseError(f"spec file must hold exactly 3 polynomials, got {len(lines)}")
@@ -121,7 +128,10 @@ def _parse_params(pairs: List[str]) -> dict:
         if "=" not in item:
             raise ParseError(f"--param expects name=value, got {item!r}")
         name, val = item.split("=", 1)
-        out[name.strip()] = val.strip()
+        name = name.strip()
+        if name in out:
+            raise ParseError(f"--param {name} is given twice")
+        out[name] = val.strip()
     return out
 
 
@@ -198,8 +208,7 @@ def cmd_construct(args, ctx) -> tuple:
     spec, choices = _construct(ctx, args.family, _parse_params(args.param))
     lines = spec.render_lines()
     if args.spec_out:
-        with open(args.spec_out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_file(args.spec_out, "\n".join(lines) + "\n", "spec")
     return {"family": args.family, "q": ctx.q, "degree": spec.degree,
             "spec_lines": lines}, choices, True
 
@@ -221,9 +230,9 @@ def _read_json(path: str, kind: str) -> dict:
         return obj
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=unique_keys)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read {kind} file: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(f"{kind} file {path} does not hold a JSON object")
@@ -308,6 +317,8 @@ def cmd_hypersurface(args, ctx) -> tuple:
 
 
 def cmd_search(args, ctx) -> tuple:
+    if args.max_listed < 0:
+        raise ParseError(f"--max-listed must be at least 0, got {args.max_listed}")
     restriction = _read_json(args.mask, "mask") if args.mask else args.restriction or "full"
     cfg = srch.SearchConfig(ctx, max_degree=args.max_degree,
                             restriction=restriction, budget=args.budget)
@@ -372,8 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, threads_help="accepted for a uniform command line and ignored: "
                            "search always runs on one thread")
     p.add_argument("--max-degree", type=int, default=2, choices=(2, 3))
-    p.add_argument("--mask", help="JSON file pinning coefficients")
-    p.add_argument("--restriction", choices=("full", "homogeneous-top"))
+    space = p.add_mutually_exclusive_group()
+    space.add_argument("--mask", help="JSON file pinning coefficients")
+    space.add_argument("--restriction", choices=("full", "homogeneous-top"))
     p.add_argument("--budget", type=int, default=1 << 28)
     p.add_argument("--max-listed", type=int, default=1000,
                    help="cap on rendered specs in the report")
@@ -381,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kerdock", help="skew-matrix set check")
     common(p)
-    p.add_argument("--family", choices=fam.FAMILY_NAMES)
-    p.add_argument("--spec")
+    triple = p.add_mutually_exclusive_group()
+    triple.add_argument("--family", choices=fam.FAMILY_NAMES)
+    triple.add_argument("--spec")
     p.add_argument("--param", action="append", default=[])
     p.set_defaults(func=cmd_kerdock)
     return ap
@@ -410,6 +423,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         t0 = time.perf_counter()
         ctx = parse_field_spec(args.q)
         report, choices, holds = args.func(args, ctx)
+        report["manifest"] = _manifest(args, ctx, choices)
+        _emit(args, report, time.perf_counter() - t0)
+    except BrokenPipeError:
+        # the reader closed stdout early (say `| head`); the verdict stands, and
+        # pointing stdout at devnull keeps the interpreter's final flush quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -419,15 +440,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OvoidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    report["manifest"] = _manifest(args, ctx, choices)
-    try:
-        _emit(args, report, time.perf_counter() - t0)
-    except BrokenPipeError:
-        # the reader closed stdout early (say `| head`); the verdict stands, and
-        # pointing stdout at devnull keeps the interpreter's final flush quiet
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
     return EXIT_OK if holds else EXIT_FAIL
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ from typing import Dict, Tuple
 from .errors import (BadExponent, OddCharacteristic, SquareMu, Unsupported,
                      WrongCharacteristic, WrongResidue)
 from .ff import ExtCtx, FieldCtx, TowerElem
-from .hypersurface import HyperplaneWitness, build_F, uvw
+from .hypersurface import (HyperplaneWitness, _conjugate_product, build_F,
+                           quadric_product_residual, solve_quadric_witness, uvw)
 from .mpoly import MPoly
 from .quadric import OvoidSpec
 
@@ -360,91 +361,53 @@ def famiglia2(ctx: FieldCtx, params: Famiglia2Params) -> OvoidSpec:
 
 
 # ---------------------------------------------------------------------------
-# quadratic-extension scalars used by the displayed factorizations
-
-
-def _scan_quadratic(ext: ExtCtx, square_of, missing: str) -> TowerElem:
-    """First xi in packed order, outside the base field, with xi^2 = square_of(xi)."""
-    ext.check_scannable()
-    for e in range(ext.order):
-        c = ext.unpack(e)
-        if not ext.is_rational(c) and ext.mul(c, c) == square_of(c):
-            return TowerElem(ext, c)
-    raise Unsupported(missing)
-
-
-def find_sqrt_in_quadratic(ext: ExtCtx, value: int) -> TowerElem:
-    """First xi in packed order with xi^2 = value, xi outside the base field."""
-    if ext.n != 2:
-        raise Unsupported("need a quadratic extension")
-    target = ext.embed(value)
-    return _scan_quadratic(ext, lambda c: target,
-                           f"no square root of {value} outside the base field")
+# the displayed two-quadric splits of the q = 2 (mod 3) Kantor triples
 
 
 def find_artin_schreier_unit(ext: ExtCtx) -> TowerElem:
     """First xi in packed order with xi^2 = 1 + xi (characteristic 2)."""
     if ext.n != 2 or ext.base.p != 2:
         raise Unsupported("need a quadratic extension in characteristic 2")
+    ext.check_scannable()
     one = ext.embed(1)
-    return _scan_quadratic(ext, lambda c: ext.add(one, c),
-                           "no unit with xi^2 = 1 + xi outside the base field")
+    for e in range(ext.order):
+        c = ext.unpack(e)
+        if not ext.is_rational(c) and ext.mul(c, c) == ext.add(one, c):
+            return TowerElem(ext, c)
+    raise Unsupported("no unit with xi^2 = 1 + xi outside the base field")
 
 
 def factorized_identity_check(family: str, ctx: FieldCtx) -> bool:
     """Confirm the displayed split of the pair polynomial into two
     conjugate quadratic factors for the q = 2 (mod 3) Kantor triples.
 
-    Odd case: the product times the unit 3 reproduces the polynomial;
-    even case the product matches exactly.  Symbolic, over F_{q^2}.
+    Both checks run over F_q.  Odd case: with xi = sqrt(-3) the factors
+    are R' +- xi S', and 3 (R'^2 + 3 S'^2) reproduces the polynomial.
+    Even case: the solved two-quadric witness leaves a zero residual.
     """
     if family not in ("2mod3_odd", "2mod3_even"):
         raise Unsupported(f"unknown family {family!r}")
-    ext = ExtCtx(ctx, 2)
-    if family == "2mod3_odd":
-        spec = kantor_2mod3_odd(ctx)
-        F = build_F(spec).lift(ext)
-        xi = find_sqrt_in_quadratic(ext, ctx.neg(3 % ctx.p))
-        factors = []
-        for sign in (-1, 1):
-            s = xi.coords if sign > 0 else ext.neg(xi.coords)
-            half6 = ext.inv(ext.embed(6 % ctx.p))
-            half2 = ext.inv(ext.embed(2 % ctx.p))
-            three = ext.embed(3 % ctx.p)
-            cV2 = ext.mul(ext.add(s, three), half6)      # (sign*xi + 3)/6
-            cW2 = ext.mul(ext.add(s, three), half2)      # (sign*xi + 3)/2
-            factors.append(_odd_factor(ext, cV2, cW2))
-        prod = factors[0] * factors[1]
-        return prod.scale(TowerElem(ext, ext.embed(3 % ctx.p))) == F
-    spec = kantor_2mod3_even(ctx)
-    F = build_F(spec).lift(ext)
-    xi = find_artin_schreier_unit(ext)
-    # the second factor swaps x5, x6 for x2, x3 and keeps the same xi;
-    # that combination is exactly the Frobenius conjugate of the first
-    f1 = _even_factor(ext, xi.coords, second=False)
-    f2 = _even_factor(ext, xi.coords, second=True)
-    return f1 * f2 == F
+    if family == "2mod3_even":
+        spec = kantor_2mod3_even(ctx)
+        return quadric_product_residual(spec, solve_quadric_witness(spec)).is_zero()
+    spec = kantor_2mod3_odd(ctx)
+    R, S = _odd_factor(ctx)
+    return build_F(spec) == _conjugate_product(R, S, 0, 3 % ctx.p).scale(3 % ctx.p)
 
 
-def _odd_factor(ext: ExtCtx, cV2, cW2) -> MPoly:
-    # U + x5*W - x6*V + x5*V + 3*x6*W + cV2*V^2 + cW2*W^2
-    U, V, W = uvw(ext)
-    x5 = MPoly.variable(ext, 6, 4)
-    x6 = MPoly.variable(ext, 6, 5)
-    three = TowerElem(ext, ext.embed(3 % ext.base.p))
-    out = U + x5 * W - x6 * V + x5 * V + (x6 * W).scale(three)
-    out = out + (V * V).scale(TowerElem(ext, cV2)) + (W * W).scale(TowerElem(ext, cW2))
-    return out
-
-
-def _even_factor(ext: ExtCtx, xi_coords, second: bool) -> MPoly:
-    # U + a*(V+W) + b*W + xi*(V^2 + V*W + W^2)
-    # a, b = (x5, x6) for the first factor and (x2, x3) for its conjugate
-    U, V, W = uvw(ext)
-    a = MPoly.variable(ext, 6, 1 if second else 4)
-    b = MPoly.variable(ext, 6, 2 if second else 5)
-    quad = V * V + V * W + W * W
-    return U + a * (V + W) + b * W + quad.scale(TowerElem(ext, xi_coords))
+def _odd_factor(ctx: FieldCtx) -> Tuple[MPoly, MPoly]:
+    """The F_q parts R', S' of the odd factors R' +- sqrt(-3) S':
+    R' = U + x5*W - x6*V + x5*V + 3*x6*W + V^2/2 + 3*W^2/2, S' = V^2/6 + W^2/2."""
+    U, V, W = uvw(ctx)
+    x5 = MPoly.variable(ctx, 6, 4)
+    x6 = MPoly.variable(ctx, 6, 5)
+    half = ctx.inv(2 % ctx.p)
+    three = 3 % ctx.p
+    V2, W2 = V * V, W * W
+    R = U + x5 * W - x6 * V + x5 * V + (x6 * W).scale(three) \
+        + V2.scale(half) + W2.scale(ctx.mul(three, half))
+    S = V2.scale(ctx.inv(6 % ctx.p)) + W2.scale(half)
+    return R, S
 
 
 def famiglia1_match_report(ctx: FieldCtx) -> dict:

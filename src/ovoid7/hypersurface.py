@@ -44,7 +44,7 @@ def build_F(spec: OvoidSpec) -> MPoly:
 
 def diagonal_restriction(F: MPoly) -> MPoly:
     """Substitute X4,X5,X6 = X1,X2,X3; identically zero by construction."""
-    return F.substitute([MPoly.variable(F.ctx, 6, i % 3) for i in range(6)])
+    return F.remap_vars([0, 1, 2, 0, 1, 2], 6)
 
 
 @dataclass
@@ -297,29 +297,35 @@ def _quadric_RS(ctx, w: QuadricWitness) -> Tuple[MPoly, MPoly]:
     return R, S
 
 
+def _conjugate_product(R: MPoly, S: MPoly, trace: int, norm: int) -> MPoly:
+    """(R + xi S)(R + xi^q S) = R^2 + Tr(xi) R S + N(xi) S^2 for the xi in
+    F_{q^2} with the given trace and norm: the product of two conjugate
+    quadrics, computed over F_q."""
+    out = R * R + (S * S).scale(norm)
+    return out + (R * S).scale(trace) if trace else out
+
+
 def quadric_product_residual(spec: OvoidSpec, witness: QuadricWitness) -> MPoly:
     """F minus the two-quadric product; identically zero iff the split holds.
 
-    Returned over F_q in odd characteristic and over F_{q^2} when p = 2.
+    Computed over F_q in both characteristics: the product of the two
+    conjugate quadrics is R^2 - k S^2 for odd p, and R^2 + Tr(xi) R S +
+    N(xi) S^2 when p = 2.
     """
     if spec.degree != 3:
         raise Unsupported("two-quadric splits apply to degree-3 triples")
     ctx = spec.ctx
     if witness.ctx is not ctx:
         raise Unsupported("witness over a different field")
-    F = build_F(spec)
-    R, S = _quadric_RS(ctx, witness)
     if ctx.p != 2:
-        return F - (R * R - (S * S).scale(witness.k))
-    ext = witness.xi.ctx
-    if ext.base is not ctx or ext.n != 2:
-        raise Unsupported("xi must lie in the quadratic extension of the base field")
-    # R and S have base-field coefficients; the product needs xi, so lift them
-    R, S = R.lift(ext), S.lift(ext)
-    xi = TowerElem(ext, witness.xi.coords)
-    xiq = TowerElem(ext, ext.frobenius(witness.xi.coords, 1))
-    prod = (R + S.scale(xi)) * (R + S.scale(xiq))
-    return F.lift(ext) - prod
+        trace, norm = 0, ctx.neg(witness.k)
+    else:
+        ext = witness.xi.ctx
+        if ext.base is not ctx or ext.n != 2:
+            raise Unsupported("xi must lie in the quadratic extension of the base field")
+        trace, norm = ext.trace(witness.xi.coords), ext.norm(witness.xi.coords)
+    R, S = _quadric_RS(ctx, witness)
+    return build_F(spec) - _conjugate_product(R, S, trace, norm)
 
 
 def solve_quadric_witness(spec: OvoidSpec, record: Optional[dict] = None) -> QuadricWitness:

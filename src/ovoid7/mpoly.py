@@ -236,15 +236,22 @@ class MPoly:
         return out
 
     def remap_vars(self, positions: Sequence[int], nvars: int) -> "MPoly":
-        """Rename variable i to positions[i] inside a ring with `nvars` variables."""
+        """Rename variable i to positions[i] inside a ring with `nvars` variables;
+        terms that land on one monomial are added."""
+        ctx = self.ctx
         out = {}
         for k, c in self.terms.items():
             exps = unpack_exps(k, self.nvars)
             new = [0] * nvars
             for i, e in enumerate(exps):
                 new[positions[i]] += e
-            out[pack_exps(new)] = c
-        return MPoly(self.ctx, nvars, out)
+            key = pack_exps(new)
+            if key in out:
+                c = ctx.add(out.pop(key), c)
+                if _raw_is_zero(ctx, c):
+                    continue
+            out[key] = c
+        return MPoly(ctx, nvars, out)
 
     # -- coefficient-field moves ----------------------------------------------
 

@@ -513,6 +513,80 @@ def test_in_range_params_are_recorded_as_used(capsys):
         assert {k: got[k] for k in choices} == choices, argv
 
 
+@pytest.mark.parametrize("kind", ["spec", "mask", "witness"])
+def test_non_utf8_input_file_is_a_parse_error(tmp_path, capsys, kind):
+    from ovoid7.cli import main
+
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe{}")
+    spec = str(tmp_path / "f2.spec")
+    assert main(["construct", "--family", "famiglia2", "--q", "2", "--spec-out", spec]) == 0
+    capsys.readouterr()
+    argv = {"spec": ["verify", "--q", "2", "--spec", str(bad)],
+            "mask": ["search", "--q", "2", "--mask", str(bad)],
+            "witness": ["hypersurface", "--action", "quadric-check", "--q", "2",
+                        "--spec", spec, "--witness", str(bad)]}[kind]
+    assert main(argv + ["--no-timing"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot read {kind} file: ")
+    assert "utf-8" in err
+
+
+def test_repeated_param_is_a_parse_error(capsys):
+    from ovoid7.cli import main
+
+    for family, q, name in (("thas-kantor", "9", "mu"), ("famiglia2", "8", "C4")):
+        assert main(["construct", "--family", family, "--q", q, "--param", f"{name}=2",
+                     "--param", f" {name} =5", "--no-timing"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --param {name} is given twice\n"
+    assert main(["kerdock", "--family", "kantor-even", "--q", "4", "--param", "alpha=2",
+                 "--param", "alpha=3", "--no-timing"]) == 2
+    assert capsys.readouterr().err == "error: --param alpha is given twice\n"
+
+
+@pytest.mark.parametrize("option, kind", [("--out", "report"), ("--spec-out", "spec")])
+def test_unwritable_output_file_is_a_parse_error(tmp_path, capsys, option, kind):
+    from ovoid7.cli import main
+
+    path = str(tmp_path / "missing" / "x.out")
+    assert main(["construct", "--family", "kantor-simple", "--q", "2", option, path,
+                 "--no-timing"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {kind} file: ") and path in err
+
+
+def test_search_refuses_a_negative_max_listed(capsys):
+    from ovoid7.cli import main
+
+    assert main(["search", "--q", "2", "--max-listed", "-3", "--no-timing"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --max-listed must be at least 0, got -3\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["search", "--q", "2", "--mask", "m.json", "--restriction", "homogeneous-top"],
+     "argument --restriction: not allowed with argument --mask"),
+    (["kerdock", "--q", "2", "--spec", SPEC_KS2, "--family", "kantor-simple"],
+     "argument --family: not allowed with argument --spec"),
+], ids=["search-mask-restriction", "kerdock-spec-family"])
+def test_exclusive_options_are_a_usage_error(capsys, argv, message):
+    from ovoid7.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--no-timing"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
+
+
+def test_kerdock_needs_a_triple(capsys):
+    from ovoid7.cli import main
+
+    assert main(["kerdock", "--q", "2", "--no-timing"]) == 2
+    assert capsys.readouterr().err == "error: kerdock needs --spec or --family\n"
+
+
 # -- limits ----------------------------------------------------------------------
 
 

@@ -7,12 +7,12 @@ import pytest
 
 from ovoid7.errors import (DependentBasis, NotAQuadricPair, OddCharacteristic,
                            Unsupported, WrongResidue)
-from ovoid7.ff import ExtCtx, make_field
+from ovoid7.ff import ExtCtx, FieldCtx, TowerElem, make_field
 from ovoid7.mpoly import MPoly
 from ovoid7.families import (Famiglia1Params, Famiglia2Params,
                              default_tower_basis, famiglia1, famiglia2,
                              kantor_even, kantor_simple)
-from ovoid7.hypersurface import (HyperplaneWitness, QuadricWitness,
+from ovoid7.hypersurface import (HyperplaneWitness, QuadricWitness, _quadric_RS,
                                  affine_point_scan, bound_report, build_F,
                                  diagonal_restriction,
                                  hyperplane_product_residual,
@@ -337,6 +337,56 @@ def test_quadric_residual_reads_witness_entries_in_the_base_field():
     assert big.QR != w.QR
     assert quadric_product_residual(spec, big) == quadric_product_residual(spec, w)
     assert quadric_product_residual(spec, big).is_zero()
+
+
+def _ext_conjugate_product_residual(spec, w):
+    """The two-quadric residual the long way: lift F, R and S to F_{q^2} and
+    multiply (R + xi S)(R + xi^q S) there."""
+    ext = w.xi.ctx
+    R, S = (P.lift(ext) for P in _quadric_RS(spec.ctx, w))
+    xi = w.xi
+    xiq = TowerElem(ext, ext.frobenius(xi.coords, 1))
+    return build_F(spec).lift(ext) - (R + S.scale(xi)) * (R + S.scale(xiq))
+
+
+@pytest.mark.parametrize("h", [1, 3, 5])
+def test_quadric_residual_matches_the_extension_product(h):
+    # the F_q residual F - (R^2 + Tr(xi) R S + N(xi) S^2), lifted, is the
+    # residual of the product of the conjugate quadrics over F_{q^2}
+    ctx = make_field(2, h)
+    spec = famiglia2(ctx, Famiglia2Params(C4=1, D4=1))
+    w = solve_quadric_witness(spec, {})
+    ext = w.xi.ctx
+    witnesses = [w, QuadricWitness(ctx=ctx, QR=w.QR, QS=w.QS, LR=(0, 0, 0, 1),
+                                   MR=(0, 1, 0, 1), NR=(1, 0, 1, 0), xi=w.xi)]
+    if h > 1:
+        one = ext.embed(1)
+        xi = next(x for x in ext.elements()
+                  if ext.frobenius(x.coords, 1) == ext.add(x.coords, one)
+                  and ext.norm(x.coords) != 1)
+        witnesses += [QuadricWitness(ctx=ctx, QR=v.QR, QS=v.QS, LR=v.LR, MR=v.MR,
+                                     NR=v.NR, xi=xi) for v in witnesses[:2]]
+    nonzero = 0
+    for v in witnesses:
+        res = quadric_product_residual(spec, v)
+        assert res.ctx is ctx
+        assert res.lift(ext) == _ext_conjugate_product_residual(spec, v)
+        nonzero += not res.is_zero()
+    assert nonzero == len(witnesses) - 1
+
+
+def test_quadric_residual_refuses_xi_outside_the_quadratic_extension():
+    ctx = make_field(2, 1)
+    spec = famiglia2(ctx, Famiglia2Params())
+    w = solve_quadric_witness(spec, {})
+    # xi^2 = xi + 1 holds in F_4, inside a quartic extension too
+    for ext in (ExtCtx(FieldCtx(2, 1), 2), ExtCtx(ctx, 4)):
+        one = ext.embed(1)
+        xi = next(x for x in ext.elements()
+                  if ext.frobenius(x.coords, 1) == ext.add(x.coords, one))
+        bad = QuadricWitness(ctx=ctx, QR=w.QR, QS=w.QS, LR=w.LR, MR=w.MR, NR=w.NR, xi=xi)
+        with pytest.raises(Unsupported, match="quadratic extension of the base field"):
+            quadric_product_residual(spec, bad)
 
 
 # -- bounds -----------------------------------------------------------------------------

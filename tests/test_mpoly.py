@@ -240,6 +240,21 @@ def test_substitute_and_remap_agree_with_eval():
         assert comp.eval_raw(pt3) == P.eval_raw(inner)
 
 
+def test_remap_vars_adds_terms_that_collide():
+    ctx = make_field(5, 1)
+    fold = [0, 1, 2, 0, 1, 2]
+    images = [MPoly.variable(ctx, 6, i) for i in fold]
+    cancel = MPoly.parse("x1*x5+4*x2*x4", ctx, 6)
+    assert cancel.remap_vars(fold, 6).is_zero()
+    assert cancel.substitute(images).is_zero()
+    assert MPoly.parse("x1*x5+3*x2*x4+x3", ctx, 6).remap_vars(fold, 6) == \
+        MPoly.parse("4*x1*x2+x3", ctx, 6)
+    rng = random.Random(5)
+    for _ in range(40):
+        P = rand_poly(ctx, rng, nvars=6, max_deg=2, max_terms=8)
+        assert P.remap_vars(fold, 6) == P.substitute(images)
+
+
 @given(st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
                           st.integers(0, 4)), max_size=4))
 @settings(max_examples=60, deadline=None)
