@@ -21,6 +21,13 @@ base-p digit, and c_d is reduced against it.
 
 The ordered count sum_{d != 0} #zeros(g_d) equals the number of ordered
 off-diagonal zero pairs, 2 * pair_scan(...).zero_pairs.
+
+This module also picks each triple's exact route, trying three in turn:
+the difference route above; the line route, for triples with a
+coordinate v that occurs in every monomial with exponent 0 or p^kappa,
+where each g_d is affine linearized along the lines s + z e_v and
+_pairscan.line_count counts its zeros line by line in O(q^5) pair
+values; and the pair scan, O(q^6), for every other triple.
 """
 
 from __future__ import annotations
@@ -42,6 +49,15 @@ MIN_Q = 9
 # At q = 256 the six int64 value tables alone would take about 800 MiB.
 Q_LIMIT = 128
 CHUNK = 1 << 14          # differences reduced together
+# Below q = 9 the pair kernel also beats the line route: at q = 8 a pair
+# scan of kantor-simple takes 0.59 ms and the line route 0.67 ms (1.9 ms
+# with its per-field tables); at q = 9 they tie on thas-kantor (1.45 ms
+# against 0.89-1.24 ms), and at q = 11 kantor-2mod3 takes 2.1-2.6 ms
+# against 5.1 ms (2-vCPU VM, one thread).
+LINE_MIN_Q = 9
+# The line route's count table has q^(k+1) entries for k Frobenius powers;
+# at q = 16, k = 4 building it took 0.15 s, five times the pair scan.
+LINE_TABLE_LIMIT = 1 << 18
 
 
 def p_weight(p: int, exps) -> int:
@@ -61,9 +77,37 @@ def eligible(spec) -> bool:
                for f in spec.polys() for key in f.terms)
 
 
+def _frobenius_power(p: int, e: int) -> Optional[int]:
+    """kappa with e = p^kappa, or None."""
+    kappa = 0
+    while e % p == 0:
+        e //= p
+        kappa += 1
+    return kappa if e == 1 else None
+
+
+def line_coordinate(spec) -> Optional[Tuple[int, Tuple[int, ...]]]:
+    """(v, kappas) for the line route: a coordinate v that occurs in every
+    monomial of f1, f2, f3 with exponent 0 or p^kappa, and the sorted set
+    of those kappa mod h, whose count table of q^(k+1) entries fits
+    LINE_TABLE_LIMIT.  Of several, the one with the fewest kappas, then the
+    first of x, y, z; None if there is none."""
+    ctx = spec.ctx
+    found = []
+    for v in range(3):
+        exps = {unpack_exps(key, 3)[v] for f in spec.polys() for key in f.terms} - {0}
+        powers = {_frobenius_power(ctx.p, e) for e in exps}
+        if None in powers:
+            continue
+        kappas = tuple(sorted({kappa % ctx.h for kappa in powers}))
+        if ctx.q ** (len(kappas) + 1) <= LINE_TABLE_LIMIT:
+            found.append((v, kappas))
+    return min(found, key=lambda c: len(c[1]), default=None)
+
+
 def choose_route(spec) -> str:
-    """"difference" or "pair-scan" for this triple, or Unsupported when its
-    route does not reach q."""
+    """"difference", "line" or "pair-scan" for this triple, the first of
+    them that takes it, or Unsupported when its route does not reach q."""
     q = spec.ctx.q
     if q >= MIN_Q and eligible(spec):
         if q > Q_LIMIT:
@@ -73,6 +117,8 @@ def choose_route(spec) -> str:
         raise Unsupported(f"the pair-scan route supports q <= {_pairscan.Q_LIMIT}; "
                           f"the difference route (q <= {Q_LIMIT}) needs every monomial "
                           "of p-weight <= 2")
+    if q >= LINE_MIN_Q and line_coordinate(spec) is not None:
+        return "line"
     return "pair-scan"
 
 
@@ -160,10 +206,12 @@ def first_zero(ctx: FieldCtx, tables, counts) -> Optional[Tuple[int, int]]:
 
 def exact_scan(spec, early_exit: bool, threads: int = 1):
     """(route, PairScanResult) for every triple, on the route choose_route
-    picks.  On the difference route zero_pairs is always exact and every
-    pair counts as checked; a failing triple's witness comes from an
-    early-exit pair scan up to the pair route's limit, so it is the pair
-    scan's first zero pair, and from first_zero above it."""
+    picks.  On the difference and line routes zero_pairs is always exact
+    and every pair counts as checked; a failing triple's witness comes
+    from an early-exit pair scan up to the pair route's limit, so it is
+    the pair scan's first zero pair, and from first_zero above it (the
+    difference route only: the line route stops at the pair route's
+    limit)."""
     route = choose_route(spec)
     ctx = spec.ctx
     tables = spec.value_tables()
@@ -175,8 +223,12 @@ def exact_scan(spec, early_exit: bool, threads: int = 1):
         d = np.arange(1, ctx.q ** 3)
         if not _slice_values(ctx, tables, 0, _negated(ctx, tables, d), d).all():
             return route, _pairscan.pair_scan(ctx, tables, early_exit=True, threads=threads)
-    counts = zero_counts(ctx, tables)
-    total = int(counts.sum())
+    if route == "line":
+        counts = None
+        total = _pairscan.line_count(ctx, tables, *line_coordinate(spec), threads=threads)
+    else:
+        counts = zero_counts(ctx, tables)
+        total = int(counts.sum())
     n = ctx.q ** 3
     first, pairs = None, n * (n - 1) // 2
     if total and ctx.q <= _pairscan.Q_LIMIT:

@@ -172,6 +172,22 @@ class PairScanResult:
         self.pairs_checked = pairs_checked
 
 
+def _row_table(prod, left, right, us, gs):
+    """T[3*(a*q + b) + k, r] = enc((u_r - a)(b - g_r)) for term k and row r,
+    given the rows' (x, y, z) values us and (f3, f2, f1) values gs."""
+    q = len(left)
+    return prod.take(left.take(us, axis=1)[:, None] + right.take(gs, axis=1)).reshape(3 * q * q, -1)
+
+
+def _lane_sums(table, keys):
+    """acc[c, r]: the sum of the three term encodings of row r against
+    column c, from a row table and the columns' keys."""
+    terms = table.take(keys, axis=0)
+    acc = terms[0] + terms[1]
+    acc += terms[2]
+    return acc
+
+
 def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> PairScanResult:
     """Scan all unordered pairs of triples.
 
@@ -179,14 +195,12 @@ def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> Pair
     With early_exit the scan stops after the first block containing a zero
     of L; otherwise every pair is visited and zeros are counted exactly.
     """
-    q = ctx.q
     prod, is_zero, left, right, mix = _constants(ctx)
     vals = np.array(tables)
     # term k pairs u = (x, y, z)[k] with g = (f3, f2, f1)[k]
     us, gs = vals[:3], vals[5:2:-1]
     keys = (mix @ vals + _TERMS).astype(np.uint16)
     n = vals.shape[1]
-    width = 3 * q * q
     rows_per_block = max(1, BLOCK_ELEMS // max(1, n))
     # a power of two rows per step, at least 8, so each gathered table
     # entry is one 16, 32, ... byte copy
@@ -197,19 +211,13 @@ def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> Pair
 
     def scan_block(s: int):
         e = min(s + rows_per_block, n)
-        # table[3*(a*q + b) + k, r] = enc((u_r - a)(b - g_r)) for term k and block row r
-        d1 = left.take(us[:, s:e], axis=1)
-        d2 = right.take(gs[:, s:e], axis=1)
-        table = prod.take(d1[:, None] + d2).reshape(width, e - s)
+        table = _row_table(prod, left, right, us[:, s:e], gs[:, s:e])
         pairs = (e - s) * (n - 1) - (s + e - 1) * (e - s) // 2
         nz, first = 0, None
         for a in range(s, e, step):
             # rows a .. a+r-1 against columns a+1 .. n-1; hit[c, i] is the pair (a+i, a+1+c)
             r = min(step, e - a)
-            terms = table[:, a - s:a - s + r].take(keys[:, a + 1:], axis=0)
-            acc = terms[0] + terms[1]
-            acc += terms[2]
-            hit = is_zero(acc)
+            hit = is_zero(_lane_sums(table[:, a - s:a - s + r], keys[:, a + 1:]))
             hit[:r - 1] &= lower[:r - 1, :r]
             m = int(np.count_nonzero(hit))
             if m:
@@ -238,3 +246,100 @@ def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> Pair
                 if early_exit and zero_total:
                     return PairScanResult(None, first_zero, pairs_checked)
     return PairScanResult(zero_total, first_zero, pairs_checked)
+
+
+# ---------------------------------------------------------------------------
+# line route
+
+
+@functools.lru_cache(maxsize=64)
+def _line_constants(ctx: FieldCtx, kappas: Tuple[int, ...]):
+    """(zs, canons, counts) for lines on which a slice has the form
+    gamma + sum_i beta_i z^(p^kappas[i]) (kappas distinct, each < h).
+
+    Such a slice is gamma plus an F_p-linear map Lam_beta of z, so it has
+    |ker Lam_beta| zeros when -gamma lies in the image of Lam_beta and none
+    otherwise.  The sample points zs are picked greedily in increasing
+    order, each where some beta not yet told apart by the earlier points
+    has Lam_beta(z) != 0; then beta -> (Lam_beta(z))_(z in zs) is one to
+    one, and the values at 0, zs[0], ..., zs[k-1] fix gamma and beta.
+    counts[g_0 + q g_1 + ... + q^k g_k] is the zero count of the line with
+    those values, and canons[j][t] is q^j times the field element whose
+    digits are the lanes of the lane sum t reduced mod p."""
+    p, q, h = ctx.p, ctx.q, ctx.h
+    k = len(kappas)
+    ar = np.arange(q)
+    b = np.arange(q ** k)                   # beta with digits b = sum_i beta_i q^i
+    lam = np.zeros((q ** k, q), dtype=np.int64)
+    for i, kappa in enumerate(kappas):
+        lam = ctx.v_add(lam, ctx.v_mul((b // q ** i % q)[:, None], ctx.v_pow(ar, p ** kappa)))
+    zs, alive = [], np.ones(q ** k, dtype=bool)
+    for z in range(1, q):
+        still = alive & (lam[:, z] == 0)
+        if np.count_nonzero(still) < np.count_nonzero(alive):
+            zs.append(z)
+            alive = still
+    # the image is a subspace, so it holds -gamma exactly when it holds gamma
+    image = np.zeros((q ** k, q), dtype=bool)
+    image[b[:, None], lam] = True
+    kernel = np.count_nonzero(lam == 0, axis=1)
+    index = ar + sum(ctx.v_add(ar, lam[:, z:z + 1]) * q ** j for j, z in enumerate(zs, 1))
+    counts = np.zeros(q ** (k + 1), dtype=np.uint8)
+    counts[index.ravel()] = (kernel[:, None] * image).ravel()
+    s = (3 * (p - 1)).bit_length()
+    t = np.arange(1 << (s * h))
+    canon = sum((t >> (s * i) & ((1 << s) - 1)) % p * p ** i for i in range(h))
+    canons = np.stack([canon * q ** j for j in range(k + 1)])
+    for a in (canons, counts):
+        a.flags.writeable = False
+    return tuple(zs), canons, counts
+
+
+def line_count(ctx: FieldCtx, tables, v: int, kappas: Tuple[int, ...], threads: int = 1) -> int:
+    """Ordered count of off-diagonal zeros, 2 * pair_scan(...).zero_pairs,
+    counted along the lines s + z e_v: on each, every slice g_d(s) =
+    L(s, s + d) of a triple in which coordinate v occurs only with
+    exponents 0 and p^kappa (kappa mod h in kappas) is affine linearized
+    in z, so its values at z = 0, zs[0], ..., zs[k-1] give its zero count
+    (see _line_constants).
+
+    Plane j holds the triples whose coordinate v is the j-th of 0, zs[0],
+    ...; it gets the kernel's row tables, and its column keys are shifted
+    by the same zs[j-1] e_v, so cell (m, t) of every plane is a value of
+    g_(t - m) on the line through base row m.  Results are sums of
+    integers, the same for every thread count."""
+    q = ctx.q
+    prod, _, left, right, mix = _constants(ctx)
+    zs, canons, counts = _line_constants(ctx, kappas)
+    vals = np.array(tables)
+    us, gs = vals[:3], vals[5:2:-1]
+    keys = (mix @ vals + _TERMS).astype(np.uint16)
+    n = vals.shape[1]
+    coord = vals[v]
+    m = q * q                               # rows per plane
+    step = min(m, 1 << max(3, (STEP_ELEMS // n).bit_length() - 1))
+    cols = max(1, STEP_ELEMS // step)       # columns per piece of a step
+    rows, pieces = [], []
+    for z in (0,) + zs:
+        plane = np.flatnonzero(coord == z)
+        shifted = keys[:, np.arange(n) + (ctx.v_add(coord, z) - coord) * q ** v]
+        rows.append((us[:, plane], gs[:, plane]))
+        pieces.append([np.ascontiguousarray(shifted[:, c:c + cols]) for c in range(0, n, cols)])
+
+    def count_rows(a: int) -> int:
+        row_tables = [_row_table(prod, left, right, u[:, a:a + step], g[:, a:a + step])
+                      for u, g in rows]
+        total = 0
+        for c in range(len(pieces[0])):
+            idx = canons[0].take(_lane_sums(row_tables[0], pieces[0][c]))
+            for canon, table, keys_j in zip(canons[1:], row_tables[1:], pieces[1:]):
+                idx += canon.take(_lane_sums(table, keys_j[c]))
+            total += int(counts.take(idx).sum())
+        return total
+
+    starts = range(0, m, step)
+    workers = min(max(1, int(threads or 1)), len(starts))
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        total = sum((pool.map if pool else map)(count_rows, starts))
+    # the lines of the zero difference are the q^3 diagonal zeros
+    return total - n

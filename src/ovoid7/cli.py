@@ -40,7 +40,7 @@ SCHEMAS = {
         "is_ovoid": "bool",
         "witness": "[[x1,y1,z1],[x2,y2,z2]] | null",
         "pairs_checked": "int",
-        "route": '"difference" | "pair-scan"',
+        "route": '"difference" | "line" | "pair-scan"',
         "elapsed_ms": "float",
         "q": "int",
         "degree": "int",
@@ -49,7 +49,7 @@ SCHEMAS = {
     "build": {"degree": "int", "terms": "int", "diagonal_vanishes": "bool",
               "polynomial": "str", "manifest": "manifest"},
     "scan": {"total": "int", "off_diagonal": "int", "witness": "pair | null",
-             "route": '"difference" | "pair-scan"', "elapsed_ms": "float",
+             "route": '"difference" | "line" | "pair-scan"', "elapsed_ms": "float",
              "manifest": "manifest"},
     "plane-check": {"residual_zero": "bool", "residual_terms": "int",
                     "alpha": "[int]", "beta": "[int]", "manifest": "manifest"},
@@ -78,6 +78,17 @@ def _default_threads() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _thread_count(text: str) -> int:
+    """--threads: a whole number of workers, at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _manifest(args, ctx, choices: Optional[dict] = None) -> dict:
@@ -328,6 +339,8 @@ def cmd_search(args, ctx) -> tuple:
 
 
 def cmd_kerdock(args, ctx) -> tuple:
+    if args.spec and args.param:
+        raise ParseError("argument --param: not allowed with argument --spec")
     if args.spec:
         spec = _load_spec(args.spec, ctx)
     elif args.family:
@@ -350,7 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, threads_help="workers for pair scans; results are identical for any value"):
         p.add_argument("--q", required=True, help='field, "p^h" or a prime power')
-        p.add_argument("--threads", type=int, default=_default_threads(), help=threads_help)
+        p.add_argument("--threads", type=_thread_count, default=_default_threads(),
+                       help=threads_help)
         p.add_argument("--out", help="also write the JSON report to this file")
         p.add_argument("--no-timing", action="store_true",
                        help="zero timing fields for byte-identical reruns")

@@ -61,10 +61,12 @@ def affine_point_scan(spec: OvoidSpec, threads: int = 1) -> ScanReport:
     6-space, read from the triple's value tables; F is never expanded.
 
     The q^3 diagonal points are always zeros; off-diagonal zeros come in
-    symmetric pairs, counted on the pair kernel over unordered index pairs
-    or, for triples of p-weight <= 2, on the difference route.  The witness
-    is the verification witness: the first off-diagonal zero in scan order,
-    or the difference route's first_zero above the pair route's limit.
+    symmetric pairs, counted on the pair kernel over unordered index pairs,
+    on the difference route for triples of p-weight <= 2, or on the line
+    route for triples with a coordinate that occurs only with exponents 0
+    and p^kappa.  The witness is the verification witness: the first
+    off-diagonal zero in scan order, or the difference route's first_zero
+    above the pair route's limit.
     """
     q = spec.ctx.q
     t0 = time.perf_counter()

@@ -9,7 +9,8 @@ the q^3 + 1 candidate points
 all of which lie on Q by construction.  The candidate set is an ovoid
 exactly when the polarization value of every distinct pair of affine
 points is nonzero; `verify_ovoid` checks this exhaustively, on the pair
-kernel or, for triples of p-weight <= 2, on the difference route.
+kernel or, for triples of p-weight <= 2, on the difference route, or,
+for triples affine linearized in one coordinate, on the line route.
 """
 
 from __future__ import annotations
@@ -160,11 +161,13 @@ class VerificationReport(Report):
 
 
 def verify_ovoid(spec: OvoidSpec, threads: int = 1) -> VerificationReport:
-    """Exhaustive pairwise check of the candidate point set.
+    """Exhaustive pairwise check of the candidate point set, on the route
+    _diffroute.choose_route picks: difference, line or pair-scan.
 
     The witness, when present, is the first violating pair in scan order
-    (x fastest within a triple, first index slowest across the pair); above
-    the pair route's limit it is the difference route's first_zero.
+    (x fastest within a triple, first index slowest across the pair),
+    found by an early-exit pair scan on every route; above the pair
+    route's limit it is the difference route's first_zero.
     """
     t0 = time.perf_counter()
     route, res = _diffroute.exact_scan(spec, early_exit=True, threads=threads)

@@ -580,6 +580,34 @@ def test_exclusive_options_are_a_usage_error(capsys, argv, message):
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--q", "4", "--spec", SPEC_KS2],
+    ["hypersurface", "--action", "scan", "--q", "2", "--spec", SPEC_KS2],
+    ["kerdock", "--q", "2", "--spec", SPEC_KS2],
+    ["search", "--q", "2"],
+    ["construct", "--family", "kantor-simple", "--q", "2"],
+], ids=["verify", "scan", "kerdock", "search", "construct"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threads_below_one_is_a_usage_error(capsys, argv, value):
+    from ovoid7.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--threads", value, "--no-timing"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"argument --threads: must be at least 1, got {value}" in err
+
+
+def test_kerdock_refuses_param_with_spec(capsys):
+    # --param is read only with --family; with --spec it would be ignored
+    from ovoid7.cli import main
+
+    assert main(["kerdock", "--q", "2", "--spec", SPEC_KS2, "--param", "mu=1",
+                 "--no-timing"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: argument --param: not allowed with argument --spec\n"
+
+
 def test_kerdock_needs_a_triple(capsys):
     from ovoid7.cli import main
 

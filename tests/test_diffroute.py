@@ -116,7 +116,7 @@ def test_route_choice():
     ks = kantor_simple
     assert _diffroute.choose_route(ks(make_field(2, 3))) == "pair-scan"      # q < MIN_Q
     assert _diffroute.choose_route(ks(make_field(2, 4))) == "difference"
-    assert _diffroute.choose_route(_thas_kantor(make_field(3, 3))) == "pair-scan"
+    assert _diffroute.choose_route(_thas_kantor(make_field(3, 3))) == "line"
     assert affine_point_scan(ks(make_field(2, 4))).route == "difference"
 
 
