@@ -42,19 +42,17 @@ from .errors import Unsupported
 from .ff import FieldCtx
 from .mpoly import unpack_exps
 
-# Below q = 9 the pair kernel is the faster exact counter: at q = 8 a pair
-# scan takes about 1.0 ms and the route 1.1-1.6 ms, at q = 16 the route
-# takes 5-13 ms against 51 ms (2-vCPU VM, one thread).
+# Below q = 9 the pair kernel is the faster exact counter on both routes
+# (2-vCPU VM, one thread).  Difference route: at q = 8 a pair scan takes
+# about 1.0 ms and the route 1.1-1.6 ms, at q = 16 the route takes 5-13 ms
+# against 51 ms.  Line route: at q = 8 a pair scan of kantor-simple takes
+# 0.59 ms and the route 0.67 ms (1.9 ms with its per-field tables); at
+# q = 9 they tie on thas-kantor (1.45 ms against 0.89-1.24 ms), and at
+# q = 11 kantor-2mod3 takes 2.1-2.6 ms against 5.1 ms.
 MIN_Q = 9
 # At q = 256 the six int64 value tables alone would take about 800 MiB.
 Q_LIMIT = 128
 CHUNK = 1 << 14          # differences reduced together
-# Below q = 9 the pair kernel also beats the line route: at q = 8 a pair
-# scan of kantor-simple takes 0.59 ms and the line route 0.67 ms (1.9 ms
-# with its per-field tables); at q = 9 they tie on thas-kantor (1.45 ms
-# against 0.89-1.24 ms), and at q = 11 kantor-2mod3 takes 2.1-2.6 ms
-# against 5.1 ms (2-vCPU VM, one thread).
-LINE_MIN_Q = 9
 # The line route's count table has q^(k+1) entries for k Frobenius powers;
 # at q = 16, k = 4 building it took 0.15 s, five times the pair scan.
 LINE_TABLE_LIMIT = 1 << 18
@@ -117,7 +115,7 @@ def choose_route(spec) -> str:
         raise Unsupported(f"the pair-scan route supports q <= {_pairscan.Q_LIMIT}; "
                           f"the difference route (q <= {Q_LIMIT}) needs every monomial "
                           "of p-weight <= 2")
-    if q >= LINE_MIN_Q and line_coordinate(spec) is not None:
+    if q >= MIN_Q and line_coordinate(spec) is not None:
         return "line"
     return "pair-scan"
 
@@ -178,14 +176,6 @@ def zero_counts(ctx: FieldCtx, tables) -> np.ndarray:
         rank = np.count_nonzero(basis, axis=0)
         counts[d] = np.where(c == 0, p ** (3 * h - rank), 0)
     return counts
-
-
-def difference_count(spec) -> int:
-    """Exact ordered count of off-diagonal zeros, sum_{d != 0} #zeros(g_d);
-    equals affine_point_scan(...).off_diagonal.  Needs eligible(spec)."""
-    if not eligible(spec):
-        raise Unsupported("the difference route needs every monomial of p-weight <= 2")
-    return int(zero_counts(spec.ctx, spec.value_tables()).sum())
 
 
 def first_zero(ctx: FieldCtx, tables, counts) -> Optional[Tuple[int, int]]:

@@ -43,7 +43,6 @@ results do not depend on the worker count.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from concurrent.futures import ThreadPoolExecutor
 from typing import Tuple
@@ -188,6 +187,33 @@ def _lane_sums(table, keys):
     return acc
 
 
+def _scan_inputs(mix, tables):
+    """(us, gs, keys) of a scan over the six value tables: every triple's
+    (x, y, z) values us and (f3, f2, f1) values gs (term k pairs us[k] with
+    gs[k]), and its column keys 3*(u*q + g) + k, made with _constants' mix."""
+    vals = np.array(tables)
+    return vals[:3], vals[5:2:-1], (mix @ vals + _TERMS).astype(np.uint16)
+
+
+def _row_step(n: int, rows: int) -> int:
+    """Rows per step against about n columns, at most rows: a power of two,
+    at least 8, so each gathered table entry is one 16, 32, ... byte copy."""
+    return min(rows, 1 << max(3, (STEP_ELEMS // max(1, n)).bit_length() - 1))
+
+
+def _fan_out(fn, starts, threads: int):
+    """fn(s) for each s of starts, in order.  Several workers take one batch
+    of `workers` starts at a time from a thread pool, so a caller that stops
+    early waits for no later batch; one worker makes no pool."""
+    workers = min(max(1, int(threads or 1)), len(starts))
+    if workers == 1:
+        yield from map(fn, starts)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        for b in range(0, len(starts), workers):
+            yield from pool.map(fn, starts[b:b + workers])
+
+
 def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> PairScanResult:
     """Scan all unordered pairs of triples.
 
@@ -196,17 +222,10 @@ def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> Pair
     of L; otherwise every pair is visited and zeros are counted exactly.
     """
     prod, is_zero, left, right, mix = _constants(ctx)
-    vals = np.array(tables)
-    # term k pairs u = (x, y, z)[k] with g = (f3, f2, f1)[k]
-    us, gs = vals[:3], vals[5:2:-1]
-    keys = (mix @ vals + _TERMS).astype(np.uint16)
-    n = vals.shape[1]
+    us, gs, keys = _scan_inputs(mix, tables)
+    n = keys.shape[1]
     rows_per_block = max(1, BLOCK_ELEMS // max(1, n))
-    # a power of two rows per step, at least 8, so each gathered table
-    # entry is one 16, 32, ... byte copy
-    step = min(rows_per_block, n, 1 << max(3, (STEP_ELEMS // max(1, n)).bit_length() - 1))
-    starts = list(range(0, n, rows_per_block))
-    workers = min(max(1, int(threads or 1)), len(starts))
+    step = _row_step(n, min(rows_per_block, n))
     lower = _lower_mask(step)
 
     def scan_block(s: int):
@@ -231,20 +250,17 @@ def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> Pair
 
     # Early exit stops at the first block containing a zero; later blocks
     # of the same batch are discarded from the pair count, so the reported
-    # numbers are identical for every worker count.  One worker makes no pool.
+    # numbers are identical for every worker count.
     pairs_checked = 0
     zero_total = 0
     first_zero = None
-    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        run = pool.map if pool else map
-        for b in range(0, len(starts), workers):
-            for pairs, nz, first in run(scan_block, starts[b:b + workers]):
-                pairs_checked += pairs
-                zero_total += nz
-                if first_zero is None:
-                    first_zero = first
-                if early_exit and zero_total:
-                    return PairScanResult(None, first_zero, pairs_checked)
+    for pairs, nz, first in _fan_out(scan_block, range(0, n, rows_per_block), threads):
+        pairs_checked += pairs
+        zero_total += nz
+        if first_zero is None:
+            first_zero = first
+        if early_exit and zero_total:
+            return PairScanResult(None, first_zero, pairs_checked)
     return PairScanResult(zero_total, first_zero, pairs_checked)
 
 
@@ -311,13 +327,11 @@ def line_count(ctx: FieldCtx, tables, v: int, kappas: Tuple[int, ...], threads: 
     q = ctx.q
     prod, _, left, right, mix = _constants(ctx)
     zs, canons, counts = _line_constants(ctx, kappas)
-    vals = np.array(tables)
-    us, gs = vals[:3], vals[5:2:-1]
-    keys = (mix @ vals + _TERMS).astype(np.uint16)
-    n = vals.shape[1]
-    coord = vals[v]
+    us, gs, keys = _scan_inputs(mix, tables)
+    n = keys.shape[1]
+    coord = us[v]
     m = q * q                               # rows per plane
-    step = min(m, 1 << max(3, (STEP_ELEMS // n).bit_length() - 1))
+    step = _row_step(n, m)
     cols = max(1, STEP_ELEMS // step)       # columns per piece of a step
     rows, pieces = [], []
     for z in (0,) + zs:
@@ -337,9 +351,6 @@ def line_count(ctx: FieldCtx, tables, v: int, kappas: Tuple[int, ...], threads: 
             total += int(counts.take(idx).sum())
         return total
 
-    starts = range(0, m, step)
-    workers = min(max(1, int(threads or 1)), len(starts))
-    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        total = sum((pool.map if pool else map)(count_rows, starts))
+    total = sum(_fan_out(count_rows, range(0, m, step), threads))
     # the lines of the zero difference are the q^3 diagonal zeros
     return total - n

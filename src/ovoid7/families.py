@@ -408,28 +408,3 @@ def _odd_factor(ctx: FieldCtx) -> Tuple[MPoly, MPoly]:
         + V2.scale(half) + W2.scale(ctx.mul(three, half))
     S = V2.scale(ctx.inv(6 % ctx.p)) + W2.scale(half)
     return R, S
-
-
-def famiglia1_match_report(ctx: FieldCtx) -> dict:
-    """Compare the odd q = 2 (mod 3) Kantor triple against famiglia1
-    coefficientwise under the identity variable map.
-
-    Reports rather than asserts: the triples agree only up to a change
-    of coordinates, so `matched` is expected to be False.
-    """
-    target = kantor_2mod3_odd(ctx)
-    mismatches = []
-    # f3 pins the scaling: famiglia1 f3 has X-coefficient -1, the odd
-    # Kantor triple has -3, so the identity map cannot match for p != 3
-    probe = famiglia1(ctx, Famiglia1Params(epsilon=1))
-    for name, a, b in (("f1", probe.f1, target.f1),
-                       ("f2", probe.f2, target.f2),
-                       ("f3", probe.f3, target.f3)):
-        if a != b:
-            mismatches.append(name)
-    return {
-        "matched": not mismatches,
-        "mismatched_components": mismatches,
-        "note": "identity-variable-map comparison only; equivalence up to "
-                "collineation is out of scope",
-    }

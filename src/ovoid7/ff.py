@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -279,11 +279,6 @@ def _primitive_tables(K, red, n: int) -> dict:
     return {"logt": logt, "expx": expx, "order": N - 1}
 
 
-def poly_irreducible_fp(coeffs: Sequence[int], p: int) -> bool:
-    """Exact irreducibility test over F_p (Ben-Or)."""
-    return _poly_irreducible(make_field(p, 1), [int(c) % p for c in coeffs])
-
-
 class _Elem:
     """Arithmetic shared by Fe and TowerElem: a subclass names the slot of its
     encoding in _attr, and its _val turns the other operand into an encoding."""
@@ -354,13 +349,15 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, h: int, modulus: Optional[Sequence[int]] = None):
-        if not is_prime(p):
-            raise CompositeP(f"{p} is not prime")
         if h < 1:
             raise Unsupported("extension degree must be positive")
+        # before is_prime, which takes sqrt(p) steps; every p >= 2 puts
+        # p^h above 2^20 for h > 20, so p^h is computed only for h <= 20
+        if p >= 2 and (h > 20 or p ** h > MAX_ORDER):
+            raise Unsupported(f"field order {p}^{h} exceeds supported range 2^20")
+        if not is_prime(p):
+            raise CompositeP(f"{p} is not prime")
         q = p ** h
-        if q > MAX_ORDER:
-            raise Unsupported(f"field order {q} exceeds supported range 2^20")
         self.p = p
         self.h = h
         self.q = q
@@ -393,9 +390,6 @@ class FieldCtx:
         if not 0 <= a < self.q:
             raise Unsupported(f"element encoding {a} outside [0, {self.q})")
         return Fe(self, a)
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.q))
 
     @property
     def name(self) -> str:
@@ -579,6 +573,8 @@ def parse_field_spec(text: str) -> FieldCtx:
             q = int(text)
             if q < 2:
                 raise ValueError
+            if q > MAX_ORDER:           # before factorize, which takes sqrt(q) steps
+                raise Unsupported(f"field order {q} exceeds supported range 2^20")
             fac = factorize(q)
             if len(fac) != 1:
                 raise CompositeP(f"{q} is not a prime power")
@@ -698,25 +694,11 @@ class ExtCtx:
     def embed(self, a: int) -> Tuple[int, ...]:
         return (a,) + (0,) * (self.n - 1)
 
-    def embed_elem(self, a) -> TowerElem:
-        v = a.v if isinstance(a, Fe) else int(a)
-        return TowerElem(self, self.embed(v))
-
     def gen(self) -> TowerElem:
         """Power-basis root t of the extension modulus."""
         if self.n == 1:
             return TowerElem(self, (self.base.neg(self.modulus[0]),))
         return TowerElem(self, (0, 1) + (0,) * (self.n - 2))
-
-    def zero(self) -> TowerElem:
-        return TowerElem(self, (0,) * self.n)
-
-    def one(self) -> TowerElem:
-        return TowerElem(self, self.embed(1))
-
-    def elements(self) -> Iterator[TowerElem]:
-        for e in range(self.order):
-            yield self.from_packed(e)
 
     def is_rational(self, coords) -> bool:
         return all(c == 0 for c in coords[1:])
@@ -843,12 +825,8 @@ class ExtCtx:
             out += self.base.v_add(da, db) * q ** i
         return out
 
-    def v_frobenius_packed(self, a, i: int = 1):
-        t = self.packed_tables()
-        out = a
-        for _ in range(i % self.n):
-            out = t["frob"][out]
-        return out
+    def v_frobenius_packed(self, a):
+        return self.packed_tables()["frob"][a]
 
     def _v_conjugate_fold(self, a, op, what: str):
         """op over the n conjugates a, a^q, ..., which must land in F_q."""

@@ -420,22 +420,33 @@ class BoundReport(Report):
     lang_weil_constant: str = "not computed"
 
 
-def bound_report(r: int, d: int, q: int, precision: int = 50) -> BoundReport:
+def bound_report(r: int, d: int, q: int) -> BoundReport:
     """Point-count window for an absolutely irreducible r-dimensional,
     degree-d variety: center q^r, first-order radius (d-1)(d-2)q^(r-1/2),
     and the explicit second-order radius adding 5 d^(13/3) q^(r-1).
 
     `applicable` is the exact inequality q > 2(r+1)d^2 and `threshold_ok`
     the exact inequality q > 6.3 (d+1)^(13/3); both are evaluated in
-    integer arithmetic.  Radii use Decimal at `precision` digits.
+    integer arithmetic.  Radii use Decimal at 50 digits.
+
+    A radius is written as a double, which ends below 2^1024, so a radius
+    from there up raises Unsupported, decided by logarithms before any
+    power of q is computed.  The center, at most q/5 times the second-order
+    radius, stays an exact integer of at most 314 digits.
     """
     if r < 1 or d < 1:
         raise Unsupported("need r >= 1 and d >= 1")
     with localcontext() as dctx:
-        dctx.prec = precision
+        dctx.prec = 50
         qd = Decimal(q)
-        lw = Decimal((d - 1) * (d - 2)) * qd ** (r - 1) * qd.sqrt()
-        cm = lw + Decimal(5) * (Decimal(d) ** (Decimal(13) / Decimal(3))) * qd ** (r - 1)
+        # the radii over q^(r-1)
+        lw1 = Decimal((d - 1) * (d - 2)) * qd.sqrt()
+        cm1 = lw1 + Decimal(5) * (Decimal(d) ** (Decimal(13) / Decimal(3)))
+        if (r - 1) * qd.ln() + cm1.ln() >= 1024 * Decimal(2).ln():
+            raise Unsupported(f"the radii for r={r}, d={d}, q={q} reach 2^1024, "
+                              "past the range of a JSON number")
+        lw = lw1 * qd ** (r - 1)
+        cm = cm1 * qd ** (r - 1)
     applicable = q > 2 * (r + 1) * d * d
     # q > 6.3 (d+1)^(13/3)  <=>  (10 q)^3 > 63^3 (d+1)^13
     threshold_ok = (10 * q) ** 3 > 63 ** 3 * (d + 1) ** 13

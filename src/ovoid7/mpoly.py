@@ -191,11 +191,6 @@ class MPoly:
 
     # -- evaluation / substitution --------------------------------------------
 
-    def eval(self, point: Sequence) -> object:
-        """Evaluate at a point of raw/wrapped field elements; returns wrapped."""
-        raw = self.eval_raw([_coerce_raw(self.ctx, v) for v in point])
-        return _wrap(self.ctx, raw)
-
     def eval_raw(self, point: Sequence) -> object:
         if len(point) != self.nvars:
             raise FieldMismatch(f"expected {self.nvars} coordinates")
@@ -272,9 +267,6 @@ class MPoly:
         for k, c in self.terms.items():
             out[k] = ext.descend(c)
         return MPoly(ext.base, self.nvars, out)
-
-    def coeff(self, exps: Sequence[int]):
-        return _wrap(self.ctx, self.terms.get(pack_exps(exps), _zero_of(self.ctx)))
 
     def coeff_raw(self, exps: Sequence[int]):
         return self.terms.get(pack_exps(exps), _zero_of(self.ctx))
@@ -362,10 +354,6 @@ def _coerce_raw(ctx, c):
             raise FieldMismatch("tuple coefficient over a base field")
         return c
     raise FieldMismatch(f"cannot use {type(c).__name__} as coefficient")
-
-
-def _wrap(ctx, raw):
-    return TowerElem(ctx, raw) if _is_ext(ctx) else Fe(ctx, raw)
 
 
 def _render_coeff(ctx, c) -> str:

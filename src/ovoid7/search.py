@@ -96,13 +96,6 @@ class SearchConfig:
                 fixed[fi * n + index[exps]] = val
         return fixed
 
-    def monomials(self) -> List[Tuple[int, int, int]]:
-        return self._monos
-
-    def fixed_values(self) -> Dict[int, int]:
-        """Map from coefficient-vector position to its pinned value."""
-        return self._fixed
-
     def candidate_count(self) -> int:
         return self.ctx.q ** len(self._free)
 
@@ -132,17 +125,6 @@ class SearchResult:
     found_indices: List[int]          # candidate indices in enumeration order
     config: SearchConfig
     elapsed: float
-
-    @property
-    def ovoids_found(self) -> List[OvoidSpec]:
-        return [self.spec_of(i) for i in self.found_indices]
-
-    def spec_of(self, candidate_index: int) -> OvoidSpec:
-        return spec_from_index(self.config, candidate_index)
-
-    def contains(self, spec: OvoidSpec) -> bool:
-        idx = index_of_spec(self.config, spec)
-        return idx is not None and idx in set(self.found_indices)
 
     def to_json_dict(self, max_listed: int = 1000) -> dict:
         listed = self.found_indices[:max_listed]
@@ -336,7 +318,11 @@ def _independent_of_one(ext: ExtCtx, alphas, betas):
     return out
 
 
-def hyperplane_witness_search(ext: ExtCtx, budget: int = 10 ** 8) -> WitnessSearchReport:
+# (alpha, beta) pairs one witness search may scan
+WITNESS_PAIR_BUDGET = 10 ** 8
+
+
+def hyperplane_witness_search(ext: ExtCtx) -> WitnessSearchReport:
     """Scan all (alpha, beta) pairs of the quartic extension against the
     trace conditions forced by a four-hyperplane split.
 
@@ -350,8 +336,8 @@ def hyperplane_witness_search(ext: ExtCtx, budget: int = 10 ** 8) -> WitnessSear
     if ext.base.p != 3:
         raise Unsupported("a four-hyperplane split forces characteristic 3")
     N = ext.order
-    if N * N > budget:
-        raise Unsupported(f"{N * N} pairs exceed budget {budget}")
+    if N * N > WITNESS_PAIR_BUDGET:
+        raise Unsupported(f"{N * N} pairs exceed budget {WITNESS_PAIR_BUDGET}")
     t0 = time.perf_counter()
     a = np.arange(N, dtype=np.int64)
     fr = ext.v_frobenius_packed

@@ -27,7 +27,7 @@ from ovoid7.quadric import (OvoidSpec, generator_point_sets, kerdock_check,
                             kerdock_set, meets_every_generator_once,
                             verify_ovoid)
 from ovoid7.search import (SearchConfig, exhaustive_triple_search,
-                           hyperplane_witness_search, index_of_spec)
+                           hyperplane_witness_search, index_of_spec, spec_from_index)
 
 GOLDEN_Q2_OVOID_COUNT = 4096     # pinned after the first full enumeration
 
@@ -210,7 +210,7 @@ def test_criterion_09_exhaustive_classification_q2():
     seen = set()
     reps = []
     for idx in res.found_indices:
-        spec = res.spec_of(idx)
+        spec = spec_from_index(cfg, idx)
         key = tuple(int(v) for a in spec.value_tables()[3:] for v in a)
         if key not in seen:
             seen.add(key)

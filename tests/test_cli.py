@@ -13,12 +13,12 @@ GOLDEN = os.path.join(HERE, "golden")
 SPEC_KS2 = os.path.join(GOLDEN, "kantor_simple_q2.spec")
 
 
-def run(*args, cwd=None):
+def run(*args, cwd=None, timeout=None):
     env = dict(os.environ)
     src = os.path.abspath(os.path.join(HERE, "..", "src"))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run([sys.executable, "-m", "ovoid7.cli", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout)
     return proc
 
 
@@ -55,6 +55,23 @@ def test_exit_codes_matrix(tmp_path):
     assert run("verify", "--q", "2", "--spec", str(short)).returncode == 2
     assert run("verify", "--q", "12", "--spec", SPEC_KS2).returncode == 2
     assert run("nonsense").returncode == 2
+
+
+def test_field_orders_above_2_20_exit_3_before_factoring():
+    # trial division of the Mersenne prime 2^61 - 1 would take minutes
+    for q in ("2305843009213693951", "2305843009213693951^1", "2^100000000", "3000000"):
+        r = run("verify", "--q", q, "--spec", SPEC_KS2, timeout=10)
+        assert r.returncode == 3, (q, r.stderr)
+        assert "exceeds supported range 2^20" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_bounds_past_the_double_range_exit_3():
+    for radius in ("2000", "20000", "1" + "0" * 1000):
+        r = run("hypersurface", "--q", "2", "--action", "bounds", "--r", radius, "--d", "3",
+                timeout=10)
+        assert r.returncode == 3, (radius, r.stderr)
+        assert "reach 2^1024" in r.stderr and "Traceback" not in r.stderr
+        assert "Infinity" not in r.stdout
 
 
 def test_thas_kantor_verifies_via_cli(tmp_path):

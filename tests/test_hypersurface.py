@@ -1,5 +1,6 @@
 """Pair polynomial construction, scans, factorization residuals, bounds."""
 
+import math
 import random
 from decimal import Decimal, getcontext, localcontext
 
@@ -172,7 +173,7 @@ def test_hyperplane_witness_rejects_dependent_basis():
     ctx = make_field(2, 2)
     ext = ExtCtx(ctx, 3)
     with pytest.raises(DependentBasis):
-        HyperplaneWitness(ext, ext.one(), ext.gen())
+        HyperplaneWitness(ext, ext.from_packed(1), ext.gen())
 
 
 def test_hyperplane_witness_rejects_elements_of_another_extension():
@@ -361,7 +362,7 @@ def test_quadric_residual_matches_the_extension_product(h):
                                    MR=(0, 1, 0, 1), NR=(1, 0, 1, 0), xi=w.xi)]
     if h > 1:
         one = ext.embed(1)
-        xi = next(x for x in ext.elements()
+        xi = next(x for x in map(ext.from_packed, range(ext.order))
                   if ext.frobenius(x.coords, 1) == ext.add(x.coords, one)
                   and ext.norm(x.coords) != 1)
         witnesses += [QuadricWitness(ctx=ctx, QR=v.QR, QS=v.QS, LR=v.LR, MR=v.MR,
@@ -382,7 +383,7 @@ def test_quadric_residual_refuses_xi_outside_the_quadratic_extension():
     # xi^2 = xi + 1 holds in F_4, inside a quartic extension too
     for ext in (ExtCtx(FieldCtx(2, 1), 2), ExtCtx(ctx, 4)):
         one = ext.embed(1)
-        xi = next(x for x in ext.elements()
+        xi = next(x for x in map(ext.from_packed, range(ext.order))
                   if ext.frobenius(x.coords, 1) == ext.add(x.coords, one))
         bad = QuadricWitness(ctx=ctx, QR=w.QR, QS=w.QS, LR=w.LR, MR=w.MR, NR=w.NR, xi=xi)
         with pytest.raises(Unsupported, match="quadratic extension of the base field"):
@@ -454,8 +455,20 @@ def test_bound_argument_guard():
         bound_report(0, 3, 4)
 
 
+def test_bound_radii_past_the_double_range_are_refused():
+    # the second-order radius at q = 2, d = 3 is about 2^(r + 8.2)
+    assert math.isfinite(bound_report(1015, 3, 2).cm_radius)
+    for r, d, q in ((1016, 3, 2), (2000, 3, 2), (20000, 3, 2), (10 ** 100, 3, 2),
+                    (1, 2 ** 300, 2), (60, 3, 2 ** 20)):
+        with pytest.raises(Unsupported, match="reach 2\\^1024"):
+            bound_report(r, d, q)
+    # the center may pass 2^1024 while both radii are finite: it stays an exact integer
+    rep = bound_report(103, 2, 991)
+    assert rep.center == 991 ** 103 > 2 ** 1024 and math.isfinite(rep.cm_radius)
+
+
 def test_bound_report_leaves_decimal_context_alone():
     with localcontext() as dctx:
         dctx.prec = 28
-        bound_report(3, 3, 1024, precision=80)
+        bound_report(3, 3, 1024)
         assert getcontext().prec == 28

@@ -207,7 +207,7 @@ def test_route_choice():
     assert route(famiglia1(field(11), Famiglia1Params(epsilon=1, C4=1, D4=2))) == "line"
     assert route(kantor_simple(field(16))) == "difference"
     assert route(kantor_even(default_tower_basis(field(16)))) == "difference"
-    assert route(dye(field(8))) == "pair-scan"                        # q < LINE_MIN_Q
+    assert route(dye(field(8))) == "pair-scan"                        # q < MIN_Q
     assert route(OvoidSpec.from_lines(field(27), ["x^2*y^2*z^2", "0", "0"])) == "pair-scan"
 
 

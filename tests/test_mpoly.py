@@ -65,16 +65,16 @@ def test_eval_is_ring_homomorphism():
     rng = random.Random(3)
     for _ in range(60):
         P, Q = rand_poly(ctx, rng), rand_poly(ctx, rng)
-        v = [ctx.element(rng.randrange(5)) for _ in range(3)]
-        assert (P + Q).eval(v) == P.eval(v) + Q.eval(v)
-        assert (P * Q).eval(v) == P.eval(v) * Q.eval(v)
-    assert MPoly.zero(ctx, 3).eval([ctx.element(1)] * 3).v == 0
+        v = [rng.randrange(5) for _ in range(3)]
+        assert (P + Q).eval_raw(v) == ctx.add(P.eval_raw(v), Q.eval_raw(v))
+        assert (P * Q).eval_raw(v) == ctx.mul(P.eval_raw(v), Q.eval_raw(v))
+    assert MPoly.zero(ctx, 3).eval_raw([1] * 3) == 0
 
 
 def test_eval_hand_expansion():
     ctx = make_field(2, 1)
     f1 = MPoly.parse("x*y+z^2", ctx, 3)
-    assert f1.eval([ctx.element(1)] * 3).v == 0     # 1 + 1
+    assert f1.eval_raw([1] * 3) == 0     # 1 + 1
 
 
 def test_serialization_round_trip_1000():
@@ -105,12 +105,12 @@ def test_parse_sugar_and_errors():
     ctx = make_field(5, 1)
     assert MPoly.parse("-x", ctx, 3) == MPoly.parse("4*x", ctx, 3)
     assert MPoly.parse("x-y", ctx, 3) == MPoly.parse("x+4*y", ctx, 3)
-    assert MPoly.parse("2*x^2*y", ctx, 3).coeff((2, 1, 0)).v == 2
+    assert MPoly.parse("2*x^2*y", ctx, 3).coeff_raw((2, 1, 0)) == 2
     for bad in ("", "x+", "w", "x1", "x^", "x*", "6*x", "x^70"):
         with pytest.raises(ParseError):
             MPoly.parse(bad, ctx, 3)
     six = MPoly.parse("x1*x4+x2^2", ctx, 6)
-    assert six.coeff((1, 0, 0, 1, 0, 0)).v == 1
+    assert six.coeff_raw((1, 0, 0, 1, 0, 0)) == 1
 
 
 def test_render_is_graded_lex_descending():

@@ -58,7 +58,8 @@ def test_homogeneous_top_search_q2():
     res = exhaustive_triple_search(cfg)
     assert res.candidates_tested == 2 ** 18
     assert len(res.found_indices) == 8
-    for spec in res.ovoids_found:
+    for i in res.found_indices:
+        spec = spec_from_index(cfg, i)
         assert verify_ovoid(spec).is_ovoid
         assert all(sum(m) == 2 for f in spec.polys()
                    for m in (tuple((k >> (6 * i)) & 63 for i in range(3)) for k in f.terms))
@@ -71,9 +72,9 @@ def test_custom_mask_search():
     cfg = SearchConfig(ctx, max_degree=2, restriction=mask, budget=1 << 20)
     assert cfg.candidate_count() == 2 ** 18
     res = exhaustive_triple_search(cfg)
-    assert res.contains(kantor_simple(ctx))
-    for spec in res.ovoids_found[:5]:
-        assert spec.f1.render() == "x*y+z^2"
+    assert index_of_spec(cfg, kantor_simple(ctx)) in res.found_indices
+    for i in res.found_indices[:5]:
+        assert spec_from_index(cfg, i).f1.render() == "x*y+z^2"
 
 
 def test_mask_free_marker_and_errors():
@@ -81,9 +82,9 @@ def test_mask_free_marker_and_errors():
     cfg = SearchConfig(ctx, max_degree=2, restriction={"f1": {"x^2": "free"}})
     assert cfg.candidate_count() == 2 ** 27
     with pytest.raises(Unsupported):
-        SearchConfig(ctx, max_degree=2, restriction={"f1": {"x^3": 0}}).fixed_values()
+        SearchConfig(ctx, max_degree=2, restriction={"f1": {"x^3": 0}})
     with pytest.raises(Unsupported):
-        SearchConfig(ctx, max_degree=2, restriction={"f1": {"x+y": 0}}).fixed_values()
+        SearchConfig(ctx, max_degree=2, restriction={"f1": {"x+y": 0}})
     # a pinned value is a field element: 3 at q = 2 is refused, not reduced
     with pytest.raises(ParseError, match=r"'f1' key 'x': value 3 outside \[0, 2\)"):
         SearchConfig(ctx, max_degree=2, restriction={"f1": {"x": 3}})
@@ -104,7 +105,7 @@ def test_search_matches_brute_force_on_subspace():
     assert cfg.candidate_count() == 2 ** 9
     res = exhaustive_triple_search(cfg)
     assert res.found_indices == _brute_force(cfg)
-    assert res.contains(kantor_simple(ctx))
+    assert index_of_spec(cfg, kantor_simple(ctx)) in res.found_indices
 
 
 def _digest(indices):
@@ -122,7 +123,7 @@ def test_q2_hits_are_pinned(restriction, hits, digest):
     assert len(res.found_indices) == hits
     assert _digest(res.found_indices) == digest
     # the report joins monomial texts; the rendered polynomials are the reference
-    assert res.to_json_dict()["specs"] == [res.spec_of(i).render_lines()
+    assert res.to_json_dict()["specs"] == [spec_from_index(cfg, i).render_lines()
                                            for i in res.found_indices[:1000]]
 
 
@@ -232,7 +233,7 @@ def test_lopsided_mask_matches_brute_force():
             mock.patch.object(search, "STEP_ELEMS", 64):
         res = exhaustive_triple_search(cfg)
     assert res.found_indices == _brute_force(cfg)
-    assert res.contains(kantor_simple(ctx))
+    assert index_of_spec(cfg, kantor_simple(ctx)) in res.found_indices
 
 
 def test_found_specs_reverify_and_zero_never_found():
@@ -240,9 +241,9 @@ def test_found_specs_reverify_and_zero_never_found():
     cfg = SearchConfig(ctx, max_degree=2, restriction="homogeneous-top")
     res = exhaustive_triple_search(cfg)
     z = OvoidSpec(ctx, MPoly.zero(ctx, 3), MPoly.zero(ctx, 3), MPoly.zero(ctx, 3))
-    assert not res.contains(z)
-    for spec in res.ovoids_found:
-        assert verify_ovoid(spec).is_ovoid
+    assert index_of_spec(cfg, z) not in res.found_indices
+    for i in res.found_indices:
+        assert verify_ovoid(spec_from_index(cfg, i)).is_ovoid
 
 
 # -- quartic witness search ------------------------------------------------------
@@ -291,8 +292,11 @@ def test_hyperplane_witness_search_guards():
         hyperplane_witness_search(ExtCtx(make_field(3, 1), 3))
     with pytest.raises(Unsupported):
         hyperplane_witness_search(ExtCtx(make_field(2, 1), 4))
-    with pytest.raises(Unsupported):
-        hyperplane_witness_search(ExtCtx(make_field(3, 1), 4), budget=10)
+    # (27^4)^2 pairs exceed the budget; refused before the packed tables
+    ext = ExtCtx(make_field(3, 3), 4)
+    with pytest.raises(Unsupported, match="exceed budget"):
+        hyperplane_witness_search(ext)
+    assert not ext._packed
 
 
 # -- basis recognition -----------------------------------------------------------
