@@ -307,7 +307,16 @@ def _quadric_check(args, ctx, spec) -> tuple:
     }, None, residual.is_zero()
 
 
+# the options each hypersurface action reads; any other one is refused
+# rather than silently ignored
+HYPERSURFACE_OPTIONS = {"build": ("spec",), "scan": ("spec",), "plane-check": ("spec", "witness"),
+                        "quadric-check": ("spec", "witness"), "bounds": ("r", "d")}
+
+
 def cmd_hypersurface(args, ctx) -> tuple:
+    for name in ("spec", "witness", "r", "d"):
+        if getattr(args, name) is not None and name not in HYPERSURFACE_OPTIONS[args.action]:
+            raise ParseError(f"argument --{name}: not allowed with --action {args.action}")
     if args.action == "bounds":
         if args.r is None or args.d is None:
             raise ParseError("bounds needs --r and --d")
@@ -330,6 +339,8 @@ def cmd_hypersurface(args, ctx) -> tuple:
 def cmd_search(args, ctx) -> tuple:
     if args.max_listed < 0:
         raise ParseError(f"--max-listed must be at least 0, got {args.max_listed}")
+    if args.budget < 0:
+        raise ParseError(f"--budget must be at least 0, got {args.budget}")
     restriction = _read_json(args.mask, "mask") if args.mask else args.restriction or "full"
     cfg = srch.SearchConfig(ctx, max_degree=args.max_degree,
                             restriction=restriction, budget=args.budget)
@@ -387,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--spec", help="3-line polynomial file")
     p.add_argument("--action", required=True,
-                   choices=("build", "scan", "plane-check", "quadric-check", "bounds"))
+                   choices=tuple(HYPERSURFACE_OPTIONS))
     p.add_argument("--witness", help='JSON witness file, "default-basis" or "solve"')
     p.add_argument("--r", type=int, help="variety dimension (bounds)")
     p.add_argument("--d", type=int, help="variety degree (bounds)")

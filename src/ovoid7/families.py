@@ -71,15 +71,14 @@ def kantor_even(basis: HyperplaneWitness) -> OvoidSpec:
         raise Unsupported("tower basis lives in a cubic extension")
     if ctx.p != 2:
         raise OddCharacteristic("general Kantor construction needs characteristic 2")
-    al, be = basis.alpha.coords, basis.beta.coords
+    al, be = basis.alpha.v, basis.beta.v
     alq = ext.frobenius(al, 1)
     alq2 = ext.frobenius(al, 2)
     beq = ext.frobenius(be, 1)
     beq2 = ext.frobenius(be, 2)
-    one = ext.embed(1)
     # quadratic-monomial coefficients of t^q * t^(q^2)
     coeffs = {
-        (2, 0, 0): one,
+        (2, 0, 0): 1,
         (1, 1, 0): ext.add(alq, alq2),
         (1, 0, 1): ext.add(beq, beq2),
         (0, 2, 0): ext.mul(alq, alq2),
@@ -95,7 +94,7 @@ def kantor_even(basis: HyperplaneWitness) -> OvoidSpec:
                 out[mono] = v
         return out
 
-    f3 = _p3(ctx, dual_read(one))
+    f3 = _p3(ctx, dual_read(1))
     f2 = _p3(ctx, dual_read(al))
     f1 = _p3(ctx, dual_read(be))
     return OvoidSpec(ctx, f1, f2, f3)
@@ -365,15 +364,14 @@ def famiglia2(ctx: FieldCtx, params: Famiglia2Params) -> OvoidSpec:
 
 
 def find_artin_schreier_unit(ext: ExtCtx) -> TowerElem:
-    """First xi in packed order with xi^2 = 1 + xi (characteristic 2)."""
+    """First xi in packed order with xi^2 = 1 + xi (characteristic 2); the
+    base field F_q is [0, q), so the scan starts at q."""
     if ext.n != 2 or ext.base.p != 2:
         raise Unsupported("need a quadratic extension in characteristic 2")
     ext.check_scannable()
-    one = ext.embed(1)
-    for e in range(ext.order):
-        c = ext.unpack(e)
-        if not ext.is_rational(c) and ext.mul(c, c) == ext.add(one, c):
-            return TowerElem(ext, c)
+    for e in range(ext.q, ext.order):
+        if ext.mul(e, e) == ext.add(1, e):
+            return TowerElem(ext, e)
     raise Unsupported("no unit with xi^2 = 1 + xi outside the base field")
 
 

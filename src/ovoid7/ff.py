@@ -1,12 +1,12 @@
 """Finite fields F_q = F_{p^h} with q <= 2^20 and their small extensions.
 
-Elements of F_q are encoded as integers in [0, q): the element with
-power-basis digits (d_0, ..., d_{h-1}) is sum(d_i * p^i).  Elements of an
-extension F_{q^n} (n in {1,2,3,4}) are length-n tuples of such integers,
-or equivalently the packed integer sum(c_i * q^i).
-
-Both are quotient rings K[t]/(m), F_p[t]/(m) and F_q[t]/(m), and share one
-polynomial core over a coefficient context K.
+Both are quotient rings K[t]/(m): F_{p^h} = F_p[t]/(m) and, for n in
+{1,2,3,4}, F_{q^n} = F_q[t]/(m).  They share one polynomial core over the
+coefficient context K and one encoding: the element with power-basis
+coordinates (c_0, ..., c_{d-1}) over K is the integer sum(c_i * |K|^i).  So
+F_q holds [0, q), F_{q^n} holds [0, q^n), and F_q embeds in F_{q^n} as the
+encodings [0, q).  Coordinate tuples appear only at the edges: pack/unpack,
+ExtCtx.element, ExtCtx.parse_element and the TowerElem.coords view.
 
 Contexts are immutable after construction and all element operations are
 pure, so contexts can be shared freely across threads.
@@ -24,7 +24,8 @@ import numpy as np
 from .errors import CompositeP, FieldMismatch, NotRational, ParseError, Unsupported
 
 MAX_ORDER = 1 << 20
-# element tables (numpy + python lists) are only materialized below this
+# scalar log/exp lists, flat sum tables and FieldCtx.np_tables stop at this
+# order; ExtCtx.packed_tables go up to MAX_ORDER
 TABLE_LIMIT = 1 << 10
 
 # Curated default moduli, coefficients low-degree-first including the
@@ -99,7 +100,8 @@ def factorize(n: int) -> dict:
 # coefficient lists, low degree first, over a coefficient context K that
 # provides add/sub/neg/mul/inv on encodings and the order K.q: F_p is
 # make_field(p, 1), and an extension's coefficients live in its base
-# FieldCtx.  Elements of K[t]/(m) are length-n coordinate lists.
+# FieldCtx.  These routines take elements of K[t]/(m) as the length-n
+# coordinate lists that _QuotientField.unpack returns.
 
 
 def _trim(a):
@@ -280,69 +282,256 @@ def _primitive_tables(K, red, n: int) -> dict:
 
 
 class _Elem:
-    """Arithmetic shared by Fe and TowerElem: a subclass names the slot of its
-    encoding in _attr, and its _val turns the other operand into an encoding."""
-
-    __slots__ = ()
-
-    def _enc(self):
-        return getattr(self, self._attr)
-
-    def __add__(self, other):
-        return type(self)(self.ctx, self.ctx.add(self._enc(), self._val(other)))
-
-    def __sub__(self, other):
-        return type(self)(self.ctx, self.ctx.sub(self._enc(), self._val(other)))
-
-    def __neg__(self):
-        return type(self)(self.ctx, self.ctx.neg(self._enc()))
-
-    def __mul__(self, other):
-        return type(self)(self.ctx, self.ctx.mul(self._enc(), self._val(other)))
-
-    def __truediv__(self, other):
-        return type(self)(self.ctx, self.ctx.mul(self._enc(), self.ctx.inv(self._val(other))))
-
-    def __pow__(self, e: int):
-        return type(self)(self.ctx, self.ctx.pow(self._enc(), e))
-
-    def __eq__(self, other):
-        return (isinstance(other, type(self)) and other.ctx is self.ctx
-                and other._enc() == self._enc())
-
-    def __hash__(self):
-        return hash((id(self.ctx), self._enc()))
-
-
-class Fe(_Elem):
-    """An element of F_q, wrapping the integer encoding."""
+    """An element of a field context: the context `ctx` and the integer
+    encoding `v`.  The other operand must lie in the same field or in its
+    base, which embeds with the same encoding."""
 
     __slots__ = ("ctx", "v")
-    _attr = "v"
 
-    def __init__(self, ctx: "FieldCtx", v: int):
+    def __init__(self, ctx, v: int):
         self.ctx = ctx
         self.v = v
 
-    def _val(self, other):
-        if isinstance(other, Fe):
-            if other.ctx is not self.ctx:
-                raise FieldMismatch("elements from different field contexts")
+    def _val(self, other) -> int:
+        if isinstance(other, _Elem) and (other.ctx is self.ctx or other.ctx is self.ctx.base):
             return other.v
-        raise FieldMismatch(f"cannot combine Fe with {type(other).__name__}")
+        raise FieldMismatch(f"{other!r} is not an element of {self.ctx!r} or of its base")
 
-    def __int__(self):
-        return self.v
+    def __add__(self, other):
+        return type(self)(self.ctx, self.ctx.add(self.v, self._val(other)))
+
+    def __sub__(self, other):
+        return type(self)(self.ctx, self.ctx.sub(self.v, self._val(other)))
+
+    def __neg__(self):
+        return type(self)(self.ctx, self.ctx.neg(self.v))
+
+    def __mul__(self, other):
+        return type(self)(self.ctx, self.ctx.mul(self.v, self._val(other)))
+
+    def __truediv__(self, other):
+        return type(self)(self.ctx, self.ctx.mul(self.v, self.ctx.inv(self._val(other))))
+
+    def __pow__(self, e: int):
+        return type(self)(self.ctx, self.ctx.pow(self.v, e))
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and other.ctx is self.ctx and other.v == self.v
+
+    def __hash__(self):
+        return hash((id(self.ctx), self.v))
 
     def __bool__(self):
         return self.v != 0
+
+
+class Fe(_Elem):
+    """An element of F_q."""
+
+    __slots__ = ()
+
+    def __int__(self):
+        return self.v
 
     def __repr__(self):
         return f"Fe({self.v} in GF({self.ctx.q}))"
 
 
-class FieldCtx:
-    """Arithmetic context for F_q, q = p^h <= 2^20.
+class TowerElem(_Elem):
+    """An element of F_{q^n}; `coords` is a read-only view of its coordinates."""
+
+    __slots__ = ()
+
+    @property
+    def coords(self) -> Tuple[int, ...]:
+        return self.ctx.unpack(self.v)
+
+    def __repr__(self):
+        return f"TowerElem({list(self.coords)} in GF({self.ctx.q}^{self.ctx.n}))"
+
+
+class _QuotientField:
+    """Arithmetic of K[t]/(m) on integer encodings, shared by FieldCtx
+    (F_p[t]/(m)) and ExtCtx (F_q[t]/(m)).
+
+    The element with coordinates (c_0, ..., c_{d-1}) over K is encoded as
+    sum(c_i * |K|^i).  Its base-p digits are the F_p coordinates of the c_i
+    laid end to end, so sums work digit by digit (XOR when p = 2).  Products
+    read log/exp lists up to TABLE_LIMIT elements and multiply-and-reduce
+    the unpacked coordinates above it.  A subclass sets p, order and base
+    (the field that `lift` and `descend` move to; a FieldCtx is its own),
+    calls _init_ring, and names in _tables its public table method, which
+    every vector op goes through, so each table build runs in that method.
+    """
+
+    def _init_ring(self, K, modulus: Tuple[int, ...]):
+        self._K = K
+        self._deg = len(modulus) - 1
+        self.modulus = modulus
+        self._red = _reduction_rows(K, modulus)
+        self._log_exp = None
+        self._scalar = None
+        self._np = {}
+
+    # -- encoding ------------------------------------------------------------
+
+    def unpack(self, a: int) -> Tuple[int, ...]:
+        """The coordinates of `a` over K, low degree first."""
+        k = self._K.q
+        return tuple(a // k ** i % k for i in range(self._deg))
+
+    def pack(self, coords) -> int:
+        k = self._K.q
+        out = 0
+        for c in reversed(coords):
+            out = out * k + c
+        return out
+
+    def parse_element(self, text: str, what: str) -> int:
+        """The element written as its encoding in [0, order); a ParseError
+        names `what` and the fault."""
+        try:
+            v = int(text)
+        except ValueError:
+            raise ParseError(f"bad element {text.strip()!r}") from None
+        if not 0 <= v < self.order:
+            raise ParseError(f"{what} {v} outside [0, {self.order})")
+        return v
+
+    def render_element(self, a: int) -> str:
+        """An element of the base as its encoding, any other as its coordinates."""
+        if self.is_rational(a):
+            return str(a)
+        return "[" + ",".join(str(c) for c in self.unpack(a)) + "]"
+
+    def is_rational(self, a: int) -> bool:
+        return a < self.base.q
+
+    def descend(self, a: int) -> int:
+        if not self.is_rational(a):
+            raise NotRational(f"{self.unpack(a)} has nonzero extension coordinates")
+        return a
+
+    # -- scalar arithmetic ----------------------------------------------------
+
+    def add(self, a: int, b: int) -> int:
+        p = self.p
+        if p == 2:
+            return a ^ b
+        if self.order == p:
+            return (a + b) % p
+        out, w = 0, 1
+        for _ in range(self._deg * self._K.h):
+            out += (a % p + b % p) % p * w
+            a //= p
+            b //= p
+            w *= p
+        return out
+
+    def neg(self, a: int) -> int:
+        p = self.p
+        if p == 2:
+            return a
+        if self.order == p:
+            return -a % p
+        out, w = 0, 1
+        for _ in range(self._deg * self._K.h):
+            out += -a % p * w
+            a //= p
+            w *= p
+        return out
+
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
+        if self.order == self.p:
+            return a * b % self.p
+        if self.order <= TABLE_LIMIT:
+            log, exp = self._scalar or self._scalar_tables()
+            return exp[log[a] + log[b]]
+        return self.pack(_mul_reduce(self._K, self._red, self.unpack(a), self.unpack(b)))
+
+    def inv(self, a: int) -> int:
+        """Multiplicative inverse: Fermat over F_p, log tables up to
+        TABLE_LIMIT, extended Euclid on the coordinates above."""
+        if a == 0:
+            raise ZeroDivisionError("inverse of zero")
+        if self.order == self.p:
+            return pow(a, self.p - 2, self.p)
+        if self.order <= TABLE_LIMIT:
+            log, exp = self._scalar or self._scalar_tables()
+            return exp[self.order - 1 - log[a]]
+        return self.pack(_poly_inv_mod(self._K, self.unpack(a), self.modulus))
+
+    def pow(self, a: int, e: int) -> int:
+        if e < 0:
+            return self.pow(self.inv(a), -e)
+        return _power(self.mul, 1, a, e)
+
+    # -- table machinery --------------------------------------------------------
+
+    def _log_exp_tables(self) -> dict:
+        if self._log_exp is None:
+            self._log_exp = _primitive_tables(self._K, self._red, self._deg)
+        return self._log_exp
+
+    def _scalar_tables(self):
+        """Python-int log/exp lists for scalar products of nonzero elements."""
+        t = self._log_exp_tables()
+        self._scalar = t["logt"].tolist(), t["expx"][: 2 * self.order].tolist()
+        return self._scalar
+
+    def _build_tables(self) -> dict:
+        """log/exp tables, and for odd p up to TABLE_LIMIT the flat order x order
+        sum and difference tables."""
+        tab = dict(self._log_exp_tables())
+        N = self.order
+        if self.p != 2 and self.p < N <= TABLE_LIMIT:
+            ar = np.arange(N)
+            tab["add_flat"] = self._v_coordinates(self._K.v_add, ar[:, None], ar[None, :]).ravel()
+            tab["sub_flat"] = self._v_coordinates(self._K.v_sub, ar[:, None], ar[None, :]).ravel()
+        return tab
+
+    # -- vectorized ops (numpy int64 arrays of encodings) -------------------------
+
+    def _v_coordinates(self, op, a, b):
+        """op(a, b) coordinate by coordinate over K."""
+        k = self._K.q
+        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
+        for i in range(self._deg):
+            out += op(a // k ** i % k, b // k ** i % k) * k ** i
+        return out
+
+    def v_add(self, a, b):
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        if self.order == self.p:
+            return (a + b) % self.p
+        if self.order > TABLE_LIMIT:
+            return self._v_coordinates(self._K.v_add, a, b)
+        return self._tables()["add_flat"][a * self.order + b]
+
+    def v_sub(self, a, b):
+        if self.p == 2:
+            return np.bitwise_xor(a, b)
+        if self.order == self.p:
+            return (a - b) % self.p
+        if self.order > TABLE_LIMIT:
+            return self._v_coordinates(self._K.v_sub, a, b)
+        return self._tables()["sub_flat"][a * self.order + b]
+
+    def v_mul(self, a, b):
+        if self.order == self.p:
+            return (a * b) % self.p
+        t = self._tables()
+        return t["expx"][t["logt"][a] + t["logt"][b]]
+
+
+class FieldCtx(_QuotientField):
+    """Arithmetic context for F_q = F_p[t]/(m), q = p^h <= 2^20.
 
     Raw operations (add/sub/mul/...) act on integer encodings; `element`
     wraps them into Fe values for the object-level API.
@@ -357,34 +546,20 @@ class FieldCtx:
             raise Unsupported(f"field order {p}^{h} exceeds supported range 2^20")
         if not is_prime(p):
             raise CompositeP(f"{p} is not prime")
-        q = p ** h
         self.p = p
         self.h = h
-        self.q = q
-        # coefficient context of the quotient-ring core: F_p itself
-        self._fp = self if h == 1 else make_field(p, 1)
+        self.q = self.order = p ** h
+        self.base = self
+        # coefficient context of the quotient ring: F_p itself
+        fp = self if h == 1 else make_field(p, 1)
         if modulus is None:
-            modulus = DEFAULT_MODULI.get((p, h)) or _smallest_irreducible(self._fp, h)
+            modulus = DEFAULT_MODULI.get((p, h)) or _smallest_irreducible(fp, h)
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) != h + 1 or modulus[-1] != 1:
             raise Unsupported("modulus must be monic of degree h")
-        if not _poly_irreducible(self._fp, modulus):
+        if not _poly_irreducible(fp, modulus):
             raise Unsupported("modulus is reducible over the prime field")
-        self.modulus = modulus
-        self._red = _reduction_rows(self._fp, modulus)
-        self._log_exp = None
-        self._scalar = None
-        self._np = {}
-
-    # -- encoding ----------------------------------------------------------
-
-    def digits(self, a: int) -> Tuple[int, ...]:
-        p = self.p
-        return tuple((a // p ** i) % p for i in range(self.h))
-
-    def from_digits(self, ds: Sequence[int]) -> int:
-        p = self.p
-        return sum((int(d) % p) * p ** i for i, d in enumerate(ds))
+        self._init_ring(fp, modulus)
 
     def element(self, a: int) -> Fe:
         if not 0 <= a < self.q:
@@ -408,136 +583,25 @@ class FieldCtx:
                 parts.append(f"{head}t^{i}" if i > 1 else f"{head}t")
         return "+".join(parts) or "0"
 
-    # -- raw arithmetic on integer encodings -------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        p = self.p
-        if p == 2:
-            return a ^ b
-        if self.h == 1:
-            return (a + b) % p
-        out = 0
-        mult = 1
-        for _ in range(self.h):
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def neg(self, a: int) -> int:
-        p = self.p
-        if p == 2:
-            return a
-        if self.h == 1:
-            return (-a) % p
-        out = 0
-        mult = 1
-        for _ in range(self.h):
-            out += ((p - a % p) % p) * mult
-            a //= p
-            mult *= p
-        return out
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self.h == 1:
-            return (a * b) % self.p
-        if self.q <= TABLE_LIMIT:
-            log, exp = self._scalar or self._scalar_tables()
-            return exp[log[a] + log[b]]
-        return self.from_digits(_mul_reduce(self._fp, self._red, self.digits(a), self.digits(b)))
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse: Fermat over F_p, log tables up to
-        TABLE_LIMIT, extended Euclid on digit polynomials above."""
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.h == 1:
-            return pow(a, self.p - 2, self.p)
-        if self.q <= TABLE_LIMIT:
-            log, exp = self._scalar or self._scalar_tables()
-            return exp[self.q - 1 - log[a]]
-        return self.from_digits(_poly_inv_mod(self._fp, self.digits(a), self.modulus))
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        return _power(self.mul, 1, a, e)
-
     def is_square(self, a: int) -> bool:
         if self.p == 2 or a == 0:
             return True
         return self.pow(a, (self.q - 1) // 2) == 1
 
-    # -- table machinery ----------------------------------------------------
-
-    def _log_exp_tables(self) -> dict:
-        if self._log_exp is None:
-            self._log_exp = _primitive_tables(self._fp, self._red, self.h)
-        return self._log_exp
-
-    def _scalar_tables(self):
-        """Python-int log/exp lists for scalar products of nonzero elements."""
-        t = self._log_exp_tables()
-        self._scalar = t["logt"].tolist(), t["expx"][: 2 * self.q].tolist()
-        return self._scalar
-
     def np_tables(self) -> dict:
-        """Numpy lookup tables for vectorized arithmetic (q <= TABLE_LIMIT)."""
+        """Numpy lookup tables for vectorized arithmetic (q <= TABLE_LIMIT):
+        log/exp, inverses and, for odd p, flat sums and differences."""
         if self.q > TABLE_LIMIT:
             raise Unsupported(f"vectorized tables unavailable for q={self.q}")
-        if self._np:
-            return self._np
-        q = self.q
-        tab = dict(self._log_exp_tables())
-        if self.p != 2 and self.h > 1:
-            ar = np.arange(q)
-            dig_a = [(ar // self.p ** i) % self.p for i in range(self.h)]
-            add = np.zeros((q, q), dtype=np.int64)
-            for i in range(self.h):
-                da = dig_a[i][:, None]
-                db = dig_a[i][None, :]
-                add += ((da + db) % self.p) * self.p ** i
-            tab["add_flat"] = add.reshape(-1)
-            neg = np.zeros(q, dtype=np.int64)
-            for i in range(self.h):
-                neg += ((self.p - dig_a[i]) % self.p) * self.p ** i
-            tab["neg"] = neg
-            tab["sub_flat"] = add[:, neg].reshape(-1)
-        inv_arr = np.zeros(q, dtype=np.int64)
-        inv_arr[1:] = tab["expx"][(q - 1 - tab["logt"][1:]) % (q - 1)]
-        tab["inv"] = inv_arr
-        self._np = tab
-        return tab
+        if not self._np:
+            tab = self._build_tables()
+            inv = np.zeros(self.q, dtype=np.int64)
+            inv[1:] = tab["expx"][(self.q - 1 - tab["logt"][1:]) % (self.q - 1)]
+            self._np = dict(tab, inv=inv)
+        return self._np
 
-    # -- vectorized raw ops (numpy int64 arrays of encodings) ---------------
-
-    def v_add(self, a, b):
-        if self.p == 2:
-            return np.bitwise_xor(a, b)
-        if self.h == 1:
-            return (a + b) % self.p
-        t = self.np_tables()
-        return t["add_flat"][a * self.q + b]
-
-    def v_sub(self, a, b):
-        if self.p == 2:
-            return np.bitwise_xor(a, b)
-        if self.h == 1:
-            return (a - b) % self.p
-        t = self.np_tables()
-        return t["sub_flat"][a * self.q + b]
-
-    def v_mul(self, a, b):
-        if self.h == 1:
-            return (a * b) % self.p
-        t = self.np_tables()
-        return t["expx"][t["logt"][a] + t["logt"][b]]
+    def _tables(self) -> dict:
+        return self.np_tables()
 
     def v_pow(self, a, e: int):
         if e == 0:
@@ -590,42 +654,17 @@ def parse_field_spec(text: str) -> FieldCtx:
 # extensions
 
 
-class TowerElem(_Elem):
-    """An element of F_{q^n}, as a coordinate vector over F_q."""
-
-    __slots__ = ("ctx", "coords")
-    _attr = "coords"
-
-    def __init__(self, ctx: "ExtCtx", coords: Sequence[int]):
-        self.ctx = ctx
-        self.coords = tuple(coords)
-
-    def _val(self, other):
-        if isinstance(other, TowerElem):
-            if other.ctx is not self.ctx:
-                raise FieldMismatch("elements from different extension contexts")
-            return other.coords
-        if isinstance(other, Fe):
-            if other.ctx is not self.ctx.base:
-                raise FieldMismatch("base element from a different field")
-            return self.ctx.embed(other.v)
-        raise FieldMismatch(f"cannot combine TowerElem with {type(other).__name__}")
-
-    def __bool__(self):
-        return any(self.coords)
-
-    def __repr__(self):
-        return f"TowerElem({list(self.coords)} in GF({self.ctx.base.q}^{self.ctx.n}))"
-
-
-class ExtCtx:
-    """Degree-n extension F_{q^n} of a base FieldCtx, n in {1,2,3,4}."""
+class ExtCtx(_QuotientField):
+    """Degree-n extension F_{q^n} = F_q[t]/(m) of a base FieldCtx, n in
+    {1,2,3,4}; an element is the packed integer sum(c_i * q^i) of its
+    coordinates over F_q, so F_q embeds as [0, q)."""
 
     def __init__(self, base: FieldCtx, n: int, modulus: Optional[Sequence[int]] = None):
         if n not in (1, 2, 3, 4):
             raise Unsupported("extension degree must be 1..4")
         self.base = base
         self.n = n
+        self.p = base.p
         self.q = base.q
         self.order = base.q ** n
         if modulus is None:
@@ -633,199 +672,113 @@ class ExtCtx:
         modulus = tuple(int(c) for c in modulus)
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise Unsupported("extension modulus must be monic of degree n")
+        for c in modulus:
+            if not 0 <= c < base.q:
+                raise Unsupported(f"extension modulus entry {c} outside [0, {base.q})")
         if not _poly_irreducible(base, modulus):
             raise Unsupported("extension modulus is reducible")
-        self.modulus = modulus
-        self._red = _reduction_rows(base, modulus)
-        # Frobenius basis images: img[i][j] = (t^j)^(q^i)
-        self._frob_imgs = None
-        self._packed = {}
+        self._init_ring(base, modulus)
+        self._frob_rows = None
         self._check_frobenius_order()
 
     def _check_frobenius_order(self):
-        coords = self.gen().coords
-        x = coords
+        t = x = self.gen().v
         for _ in range(self.n):
-            x = self.frobenius(x, 1) if self.n > 1 else x
-        if tuple(x) != tuple(coords):
+            x = self.frobenius(x)
+        if x != t:
             raise Unsupported("Frobenius applied n times is not the identity")
 
-    # -- encoding ------------------------------------------------------------
-
-    def pack(self, coords) -> int:
-        q = self.q
-        out = 0
-        for c in reversed(coords):
-            out = out * q + c
-        return out
-
-    def unpack(self, e: int) -> Tuple[int, ...]:
-        q = self.q
-        return tuple((e // q ** i) % q for i in range(self.n))
+    # -- elements --------------------------------------------------------------
 
     def element(self, coords) -> TowerElem:
-        coords = tuple(int(c) for c in coords)
+        """The element with the given coordinates over F_q, each in [0, q)."""
+        coords = [int(c) for c in coords]
         if len(coords) != self.n or any(not 0 <= c < self.q for c in coords):
             raise Unsupported("bad coordinate vector for extension element")
-        return TowerElem(self, coords)
+        return TowerElem(self, self.pack(coords))
 
-    def parse_element(self, text: str, what: str) -> Tuple[int, ...]:
-        """The coordinates written as `[c0,...,c(n-1)]`, each in [0, q), or as
-        one packed integer in [0, q^n); a ParseError names `what` and the fault."""
+    def from_packed(self, e: int) -> TowerElem:
+        if not 0 <= e < self.order:
+            raise Unsupported(f"element encoding {e} outside [0, {self.order})")
+        return TowerElem(self, e)
+
+    def parse_element(self, text: str, what: str) -> int:
+        """The element written as one packed integer in [0, q^n) or as its
+        coordinates `[c0,...,c(n-1)]`, each in [0, q); a ParseError names
+        `what` and the fault."""
         text = text.strip()
-        listed = text.startswith("[") and text.endswith("]")
+        if not (text.startswith("[") and text.endswith("]")):
+            return super().parse_element(text, what)
         try:
-            values = [int(v) for v in (text[1:-1].split(",") if listed else [text])]
+            values = [int(v) for v in text[1:-1].split(",")]
         except ValueError:
             raise ParseError(f"bad element {text!r}") from None
-        if not listed:
-            if not 0 <= values[0] < self.order:
-                raise ParseError(f"{what} {values[0]} outside [0, {self.order})")
-            return self.unpack(values[0])
         if len(values) != self.n:
             raise ParseError(f"{what} {text} has {len(values)} entries, expected {self.n}")
         if not all(0 <= c < self.q for c in values):
             raise ParseError(f"{what} {text} has an entry outside [0, {self.q})")
-        return tuple(values)
-
-    def from_packed(self, e: int) -> TowerElem:
-        return TowerElem(self, self.unpack(e))
-
-    def embed(self, a: int) -> Tuple[int, ...]:
-        return (a,) + (0,) * (self.n - 1)
+        return self.pack(values)
 
     def gen(self) -> TowerElem:
         """Power-basis root t of the extension modulus."""
-        if self.n == 1:
-            return TowerElem(self, (self.base.neg(self.modulus[0]),))
-        return TowerElem(self, (0, 1) + (0,) * (self.n - 2))
-
-    def is_rational(self, coords) -> bool:
-        return all(c == 0 for c in coords[1:])
-
-    def descend(self, coords) -> int:
-        if not self.is_rational(coords):
-            raise NotRational(f"{coords} has nonzero extension coordinates")
-        return coords[0]
-
-    # -- arithmetic on coordinate tuples -------------------------------------
-
-    def add(self, a, b):
-        bb = self.base
-        return tuple(bb.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        bb = self.base
-        return tuple(bb.sub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        bb = self.base
-        return tuple(bb.neg(x) for x in a)
-
-    def mul(self, a, b):
-        return tuple(_mul_reduce(self.base, self._red, a, b))
-
-    def inv(self, a):
-        if not any(a):
-            raise ZeroDivisionError("inverse of zero")
-        return tuple(_poly_inv_mod(self.base, a, self.modulus))
-
-    def pow(self, a, e: int):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        return _power(self.mul, self.embed(1), tuple(a), e)
+        return TowerElem(self, self.base.neg(self.modulus[0]) if self.n == 1 else self.q)
 
     # -- Frobenius / trace / norm --------------------------------------------
 
-    def _frobenius_images(self):
-        if self._frob_imgs is None:
-            tq = self.pow(self.gen().coords, self.q)
-            # row 0: images of the power basis t^j under x -> x^q
-            row = [self.embed(1)]
-            acc = self.embed(1)
-            for _ in range(1, self.n):
-                acc = self.mul(acc, tq)
-                row.append(acc)
-            imgs = [row]
-            for _ in range(1, self.n):
-                imgs.append([self._apply_linear(imgs[0], c) for c in imgs[-1]])
-            self._frob_imgs = imgs
-        return self._frob_imgs
+    def frobenius(self, a: int, i: int = 1) -> int:
+        """a^(q^i).  The q-power map is F_q-linear: it sends the coordinates
+        (c_j) to sum c_j (t^j)^q, one step per power."""
+        if self._frob_rows is None:
+            tq = self.pow(self.gen().v, self.q)
+            self._frob_rows = [self.unpack(self.pow(tq, j)) for j in range(self.n)]
+        K = self.base
+        for _ in range(i % self.n):
+            out = [0] * self.n
+            for c, row in zip(self.unpack(a), self._frob_rows):
+                if c:
+                    out = [K.add(o, K.mul(c, r)) for o, r in zip(out, row)]
+            a = self.pack(out)
+        return a
 
-    def _apply_linear(self, imgs_row, coords):
-        bb = self.base
-        out = (0,) * self.n
-        for j, cj in enumerate(coords):
-            if cj:
-                term = tuple(bb.mul(cj, x) for x in imgs_row[j])
-                out = self.add(out, term)
-        return out
-
-    def frobenius(self, coords, i: int = 1):
-        """coords^(q^i); Frobenius is F_q-linear so this is a basis combo."""
-        i %= self.n
-        if i == 0:
-            return tuple(coords)
-        imgs = self._frobenius_images()
-        return self._apply_linear(imgs[i - 1], coords)
-
-    def conjugates(self, coords):
-        out = [tuple(coords)]
+    def _conjugate_fold(self, a: int, op) -> int:
+        """op over the n conjugates a, a^q, ..., which must land in F_q."""
+        acc = x = a
         for _ in range(self.n - 1):
-            out.append(self.frobenius(out[-1]))
-        return out
-
-    def trace(self, coords) -> int:
-        acc = (0,) * self.n
-        for c in self.conjugates(coords):
-            acc = self.add(acc, c)
+            x = self.frobenius(x)
+            acc = op(acc, x)
         return self.descend(acc)
 
-    def norm(self, coords) -> int:
-        acc = self.embed(1)
-        for c in self.conjugates(coords):
-            acc = self.mul(acc, c)
-        return self.descend(acc)
+    def trace(self, a: int) -> int:
+        return self._conjugate_fold(a, self.add)
 
-    # -- packed-integer fast layer --------------------------------------------
+    def norm(self, a: int) -> int:
+        return self._conjugate_fold(a, self.mul)
+
+    # -- element tables --------------------------------------------------------
 
     def check_scannable(self) -> None:
         """Packed tables and element-by-element scans stop at 2^20 elements;
-        tuple arithmetic has no such limit."""
+        scalar arithmetic has no such limit."""
         if self.order > MAX_ORDER:
             raise Unsupported(f"extension order {self.order} exceeds 2^20")
 
     def packed_tables(self) -> dict:
-        """log/exp, Frobenius and trace tables over packed integers."""
-        if self._packed:
-            return self._packed
+        """log/exp and Frobenius tables over packed integers and, for odd p
+        up to TABLE_LIMIT, flat sums and differences."""
+        if self._np:
+            return self._np
         self.check_scannable()
+        tab = self._build_tables()
         N = self.order
-        tabs = _primitive_tables(self.base, self._red, self.n)
-        expx = tabs["expx"]
-        exp = expx[: N - 1]
         frob = np.zeros(N, dtype=np.int64)
-        frob[exp] = expx[(np.arange(N - 1) * self.q) % (N - 1)]
-        tabs["frob"] = frob
-        self._packed = tabs
-        return tabs
+        frob[tab["expx"][: N - 1]] = tab["expx"][(np.arange(N - 1) * self.q) % (N - 1)]
+        self._np = dict(tab, frob=frob)
+        return self._np
 
-    def v_mul_packed(self, a, b):
-        t = self.packed_tables()
-        return t["expx"][t["logt"][a] + t["logt"][b]]
+    def _tables(self) -> dict:
+        return self.packed_tables()
 
-    def v_add_packed(self, a, b):
-        if self.base.p == 2:
-            return np.bitwise_xor(a, b)
-        q = self.q
-        out = np.zeros_like(a)
-        for i in range(self.n):
-            da = (a // q ** i) % q
-            db = (b // q ** i) % q
-            out += self.base.v_add(da, db) * q ** i
-        return out
-
-    def v_frobenius_packed(self, a):
+    def v_frobenius(self, a):
         return self.packed_tables()["frob"][a]
 
     def _v_conjugate_fold(self, a, op, what: str):
@@ -833,20 +786,20 @@ class ExtCtx:
         conj = a
         tot = a.copy()
         for _ in range(self.n - 1):
-            conj = self.v_frobenius_packed(conj)
+            conj = self.v_frobenius(conj)
             tot = op(tot, conj)
         # rational check: higher digits vanish
         if np.any(tot >= self.q):
             raise NotRational(f"{what} left the base field")
         return tot
 
-    def v_trace_packed(self, a):
+    def v_trace(self, a):
         """Absolute trace to F_q of packed elements, as base encodings."""
-        return self._v_conjugate_fold(a, self.v_add_packed, "trace")
+        return self._v_conjugate_fold(a, self.v_add, "trace")
 
-    def v_norm_packed(self, a):
+    def v_norm(self, a):
         """Absolute norm to F_q of packed elements, as base encodings."""
-        return self._v_conjugate_fold(a, self.v_mul_packed, "norm")
+        return self._v_conjugate_fold(a, self.v_mul, "norm")
 
     def __repr__(self):
         return f"ExtCtx(GF(({self.base.p}^{self.base.h})^{self.n}))"
@@ -856,12 +809,12 @@ class ExtCtx:
 
 
 def frobenius(x: TowerElem, i: int = 1) -> TowerElem:
-    return TowerElem(x.ctx, x.ctx.frobenius(x.coords, i))
+    return TowerElem(x.ctx, x.ctx.frobenius(x.v, i))
 
 
 def rel_trace(x: TowerElem) -> Fe:
-    return Fe(x.ctx.base, x.ctx.trace(x.coords))
+    return Fe(x.ctx.base, x.ctx.trace(x.v))
 
 
 def rel_norm(x: TowerElem) -> Fe:
-    return Fe(x.ctx.base, x.ctx.norm(x.coords))
+    return Fe(x.ctx.base, x.ctx.norm(x.v))

@@ -99,17 +99,15 @@ class HyperplaneWitness:
             raise Unsupported("hyperplane witnesses live in a cubic or quartic extension")
         if self.alpha.ctx is not self.ext or self.beta.ctx is not self.ext:
             raise Unsupported("basis elements must belong to the given extension")
-        rows = [self.ext.embed(1), self.alpha.coords, self.beta.coords]
+        rows = [self.ext.unpack(1), self.alpha.coords, self.beta.coords]
         if rank(self.ext.base, rows) != 3:
             raise DependentBasis("{1, alpha, beta} are linearly dependent")
 
 
-def _conjugate_plane(ext: ExtCtx, alpha, beta, power: int) -> MPoly:
+def _conjugate_plane(ext: ExtCtx, alpha: int, beta: int, power: int) -> MPoly:
     """(X1-X4) + alpha^(q^i) (X2-X5) + beta^(q^i) (X3-X6) over ext."""
     U, V, W = uvw(ext)
-    a = TowerElem(ext, ext.frobenius(alpha, power))
-    b = TowerElem(ext, ext.frobenius(beta, power))
-    return U + V.scale(a) + W.scale(b)
+    return U + V.scale(ext.frobenius(alpha, power)) + W.scale(ext.frobenius(beta, power))
 
 
 def hyperplane_product_residual(spec: OvoidSpec, witness: HyperplaneWitness) -> MPoly:
@@ -134,7 +132,7 @@ def hyperplane_product_residual(spec: OvoidSpec, witness: HyperplaneWitness) -> 
     F = build_F(spec).lift(ext)
     prod = MPoly.constant(ext, 6, 1)
     for i in range(nplanes):
-        prod = prod * _conjugate_plane(ext, witness.alpha.coords, witness.beta.coords, i)
+        prod = prod * _conjugate_plane(ext, witness.alpha.v, witness.beta.v, i)
     return F - prod
 
 
@@ -149,8 +147,8 @@ def _deg2_invariants(witness: HyperplaneWitness) -> tuple:
     ext = witness.ext
     if ext.n != 3:
         raise Unsupported("the degree-2 system lives over the cubic extension")
-    al = witness.alpha.coords
-    be = witness.beta.coords
+    al = witness.alpha.v
+    be = witness.beta.v
     fr, mul, tr = ext.frobenius, ext.mul, ext.trace
     alq = fr(al, 1)
     beq, beq2 = fr(be, 1), fr(be, 2)
@@ -268,8 +266,7 @@ class QuadricWitness:
             if xi is None:
                 raise Unsupported("characteristic 2 needs xi with xi^q = xi + 1")
             ext = xi.ctx
-            frob = ext.frobenius(xi.coords, 1)
-            if frob != ext.add(xi.coords, ext.embed(1)):
+            if ext.frobenius(xi.v, 1) != ext.add(xi.v, 1):
                 raise WrongResidue("xi^q != xi + 1")
         else:
             if self.k is None:
@@ -325,7 +322,7 @@ def quadric_product_residual(spec: OvoidSpec, witness: QuadricWitness) -> MPoly:
         ext = witness.xi.ctx
         if ext.base is not ctx or ext.n != 2:
             raise Unsupported("xi must lie in the quadratic extension of the base field")
-        trace, norm = ext.trace(witness.xi.coords), ext.norm(witness.xi.coords)
+        trace, norm = ext.trace(witness.xi.v), ext.norm(witness.xi.v)
     R, S = _quadric_RS(ctx, witness)
     return build_F(spec) - _conjugate_product(R, S, trace, norm)
 

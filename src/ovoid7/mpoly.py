@@ -3,8 +3,10 @@
 Polynomials are immutable: every operation returns a fresh value.  Terms
 live in a dict keyed by packed exponent vectors (6 bits per variable, so
 individual exponents are capped at 63, enough for the twisted families),
-mapping to nonzero raw coefficients of the owning context (ints for a
-FieldCtx, coordinate tuples for an ExtCtx).
+mapping to nonzero integer encodings in the owning context.  A FieldCtx and
+an ExtCtx share one encoding and one set of raw operations, and the base
+field embeds in an extension with the same encodings, so no operation here
+depends on the kind of context.
 
 Text grammar (CLI input and canonical rendering):
 
@@ -33,18 +35,6 @@ MAX_EXP = (1 << EXP_BITS) - 1
 Ctx = Union[FieldCtx, ExtCtx]
 
 
-def _is_ext(ctx) -> bool:
-    return isinstance(ctx, ExtCtx)
-
-
-def _zero_of(ctx):
-    return (0,) * ctx.n if _is_ext(ctx) else 0
-
-
-def _one_of(ctx):
-    return ctx.embed(1) if _is_ext(ctx) else 1
-
-
 def pack_exps(exps: Sequence[int]) -> int:
     key = 0
     for i, e in enumerate(exps):
@@ -70,7 +60,7 @@ class MPoly:
 
     __slots__ = ("ctx", "nvars", "terms")
 
-    def __init__(self, ctx: Ctx, nvars: int, terms: Optional[Dict[int, object]] = None):
+    def __init__(self, ctx: Ctx, nvars: int, terms: Optional[Dict[int, int]] = None):
         self.ctx = ctx
         self.nvars = nvars
         self.terms = terms or {}
@@ -84,20 +74,20 @@ class MPoly:
     @classmethod
     def constant(cls, ctx: Ctx, nvars: int, c) -> "MPoly":
         c = _coerce_raw(ctx, c)
-        return cls(ctx, nvars, {} if _raw_is_zero(ctx, c) else {0: c})
+        return cls(ctx, nvars, {0: c} if c else {})
 
     @classmethod
     def variable(cls, ctx: Ctx, nvars: int, i: int) -> "MPoly":
         if not 0 <= i < nvars:
             raise Unsupported(f"variable index {i} out of range")
-        return cls(ctx, nvars, {1 << (EXP_BITS * i): _one_of(ctx)})
+        return cls(ctx, nvars, {1 << (EXP_BITS * i): 1})
 
     @classmethod
     def from_dict(cls, ctx: Ctx, nvars: int, d: Dict[Tuple[int, ...], object]) -> "MPoly":
         terms = {}
         for exps, c in d.items():
             c = _coerce_raw(ctx, c)
-            if not _raw_is_zero(ctx, c):
+            if c:
                 terms[pack_exps(exps)] = c
         return cls(ctx, nvars, terms)
 
@@ -116,10 +106,10 @@ class MPoly:
         for k, c in other.terms.items():
             if k in out:
                 s = ctx.add(out[k], c)
-                if _raw_is_zero(ctx, s):
-                    del out[k]
-                else:
+                if s:
                     out[k] = s
+                else:
+                    del out[k]
             else:
                 out[k] = c
         return MPoly(ctx, self.nvars, out)
@@ -136,25 +126,25 @@ class MPoly:
             return self.scale(other)
         self._chk(other)
         ctx = self.ctx
-        out: Dict[int, object] = {}
+        out: Dict[int, int] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 k = _add_keys(k1, k2, self.nvars)
                 c = ctx.mul(c1, c2)
                 if k in out:
                     s = ctx.add(out[k], c)
-                    if _raw_is_zero(ctx, s):
-                        del out[k]
-                    else:
+                    if s:
                         out[k] = s
-                elif not _raw_is_zero(ctx, c):
+                    else:
+                        del out[k]
+                elif c:
                     out[k] = c
         return MPoly(ctx, self.nvars, out)
 
     def scale(self, c) -> "MPoly":
         ctx = self.ctx
         c = _coerce_raw(ctx, c)
-        if _raw_is_zero(ctx, c):
+        if not c:
             return MPoly.zero(ctx, self.nvars)
         return MPoly(ctx, self.nvars, {k: ctx.mul(v, c) for k, v in self.terms.items()})
 
@@ -191,7 +181,7 @@ class MPoly:
 
     # -- evaluation / substitution --------------------------------------------
 
-    def eval_raw(self, point: Sequence) -> object:
+    def eval_raw(self, point: Sequence[int]) -> int:
         if len(point) != self.nvars:
             raise FieldMismatch(f"expected {self.nvars} coordinates")
         ctx = self.ctx
@@ -203,11 +193,11 @@ class MPoly:
                     maxe[i] = e
         pows = []
         for i, v in enumerate(point):
-            row = [_one_of(ctx)]
+            row = [1]
             for _ in range(maxe[i]):
                 row.append(ctx.mul(row[-1], v))
             pows.append(row)
-        acc = _zero_of(ctx)
+        acc = 0
         for k, c in self.terms.items():
             term = c
             for i, e in enumerate(unpack_exps(k, self.nvars)):
@@ -243,7 +233,7 @@ class MPoly:
             key = pack_exps(new)
             if key in out:
                 c = ctx.add(out.pop(key), c)
-                if _raw_is_zero(ctx, c):
+                if not c:
                     continue
             out[key] = c
         return MPoly(ctx, nvars, out)
@@ -251,25 +241,20 @@ class MPoly:
     # -- coefficient-field moves ----------------------------------------------
 
     def lift(self, ext: ExtCtx) -> "MPoly":
-        """Coerce base-field coefficients into an extension of the same base."""
-        if _is_ext(self.ctx):
-            raise FieldMismatch("polynomial already has extension coefficients")
+        """The same polynomial over an extension of its field, whose
+        encodings of base-field elements are the base field's own."""
         if ext.base is not self.ctx:
             raise FieldMismatch("extension has a different base field")
-        return MPoly(ext, self.nvars, {k: ext.embed(c) for k, c in self.terms.items()})
+        return MPoly(ext, self.nvars, dict(self.terms))
 
     def try_descend(self) -> "MPoly":
-        """Inverse of lift; raises NotRational if any coefficient obstructs."""
-        if not _is_ext(self.ctx):
-            return self
-        ext = self.ctx
-        out = {}
-        for k, c in self.terms.items():
-            out[k] = ext.descend(c)
-        return MPoly(ext.base, self.nvars, out)
+        """Inverse of lift (a polynomial over a FieldCtx descends to itself);
+        raises NotRational if any coefficient lies outside the base field."""
+        ctx = self.ctx
+        return MPoly(ctx.base, self.nvars, {k: ctx.descend(c) for k, c in self.terms.items()})
 
-    def coeff_raw(self, exps: Sequence[int]):
-        return self.terms.get(pack_exps(exps), _zero_of(self.ctx))
+    def coeff_raw(self, exps: Sequence[int]) -> int:
+        return self.terms.get(pack_exps(exps), 0)
 
     def items_sorted(self):
         """Terms in descending graded-lex order (canonical)."""
@@ -294,7 +279,7 @@ class MPoly:
                     factors.append(names[i])
                 elif e > 1:
                     factors.append(f"{names[i]}^{e}")
-            cs = _render_coeff(self.ctx, c)
+            cs = self.ctx.render_element(c)
             if not factors:
                 parts.append(cs)
             elif cs == "1":
@@ -327,41 +312,16 @@ def _add_keys(k1: int, k2: int, nvars: int) -> int:
     return k
 
 
-def _raw_is_zero(ctx, c) -> bool:
-    return not any(c) if _is_ext(ctx) else c == 0
-
-
-def _coerce_raw(ctx, c):
-    if isinstance(c, Fe):
-        if _is_ext(ctx):
-            if c.ctx is not ctx.base:
-                raise FieldMismatch("coefficient from a different base field")
-            return ctx.embed(c.v)
-        if c.ctx is not ctx:
+def _coerce_raw(ctx, c) -> int:
+    """The encoding of an element of ctx or of its base, or of an integer
+    taken as an encoding modulo the order."""
+    if isinstance(c, (Fe, TowerElem)):
+        if c.ctx is not ctx and c.ctx is not ctx.base:
             raise FieldMismatch("coefficient from a different field")
         return c.v
-    if isinstance(c, TowerElem):
-        if not _is_ext(ctx) or c.ctx is not ctx:
-            raise FieldMismatch("extension coefficient in the wrong ring")
-        return c.coords
     if isinstance(c, int):
-        # integer encoding of a field element
-        if _is_ext(ctx):
-            return ctx.unpack(c % ctx.order)
-        return c % ctx.q
-    if isinstance(c, tuple):
-        if not _is_ext(ctx):
-            raise FieldMismatch("tuple coefficient over a base field")
-        return c
+        return c % ctx.order
     raise FieldMismatch(f"cannot use {type(c).__name__} as coefficient")
-
-
-def _render_coeff(ctx, c) -> str:
-    if _is_ext(ctx):
-        if ctx.is_rational(c):
-            return str(c[0])
-        return "[" + ",".join(str(x) for x in c) + "]"
-    return str(c)
 
 
 _TERM_SPLIT = re.compile(r"\+")
@@ -388,12 +348,12 @@ def _parse_poly(text: str, ctx: Ctx, nvars: int) -> MPoly:
             if not chunk:
                 raise ParseError(f"bare '-' in {text!r}")
         exps = [0] * nvars
-        coeff = _one_of(ctx)
+        coeff = 1
         for factor in chunk.split("*"):
             if not factor:
                 raise ParseError(f"empty factor in term {chunk!r}")
             if factor[0].isdigit() or factor[0] == "[":
-                coeff = ctx.mul(coeff, _parse_coeff(factor, ctx))
+                coeff = ctx.mul(coeff, ctx.parse_element(factor, "coefficient"))
                 continue
             m = re.fullmatch(r"([a-z]\d*)(?:\^(\d+))?", factor)
             if not m or m.group(1) not in names:
@@ -406,18 +366,7 @@ def _parse_poly(text: str, ctx: Ctx, nvars: int) -> MPoly:
             coeff = ctx.neg(coeff)
         if any(e > MAX_EXP for e in exps):
             raise ParseError("accumulated exponent too large")
-        term = MPoly(ctx, nvars, {} if _raw_is_zero(ctx, coeff) else {pack_exps(exps): coeff})
+        term = MPoly(ctx, nvars, {pack_exps(exps): coeff} if coeff else {})
         out = out + term
     return out
 
-
-def _parse_coeff(tok: str, ctx: Ctx):
-    if _is_ext(ctx):
-        return ctx.parse_element(tok, "coefficient")
-    try:
-        v = int(tok)
-    except ValueError:
-        raise ParseError(f"bad coefficient {tok!r}") from None
-    if not 0 <= v < ctx.q:
-        raise ParseError(f"coefficient {v} outside [0, {ctx.q})")
-    return v

@@ -304,7 +304,7 @@ class WitnessSearchReport:
 def _independent_of_one(ext: ExtCtx, alphas, betas):
     """Mask of the packed pairs with {1, alpha, beta} independent over F_q.
 
-    embed(1) = (1, 0, ..., 0), so the set is independent iff the
+    1 has coordinates (1, 0, ..., 0), so the set is independent iff the
     coordinates 1..n-1 of alpha and beta have rank 2: some 2x2 minor
     a_i b_j - a_j b_i is nonzero.
     """
@@ -340,10 +340,10 @@ def hyperplane_witness_search(ext: ExtCtx) -> WitnessSearchReport:
         raise Unsupported(f"{N * N} pairs exceed budget {WITNESS_PAIR_BUDGET}")
     t0 = time.perf_counter()
     a = np.arange(N, dtype=np.int64)
-    fr = ext.v_frobenius_packed
-    mul = ext.v_mul_packed
-    add = ext.v_add_packed
-    tr4 = ext.v_trace_packed
+    fr = ext.v_frobenius
+    mul = ext.v_mul
+    add = ext.v_add
+    tr4 = ext.v_trace
 
     def tr42(x):
         return add(x, fr(fr(x)))
@@ -403,10 +403,10 @@ def recognize_kantor_even(spec: OvoidSpec):
     f1, f2, f3 = spec.polys()
     ext = ExtCtx(ctx, 3)
     e = np.arange(ext.order, dtype=np.int64)
-    tr = ext.v_trace_packed
+    tr = ext.v_trace
     tr_e = tr(e)
-    nrm_e = ext.v_norm_packed(e)
-    tr_q1 = tr(ext.v_mul_packed(e, ext.v_frobenius_packed(e)))
+    nrm_e = ext.v_norm(e)
+    tr_q1 = tr(ext.v_mul(e, ext.v_frobenius(e)))
     # x^2 and y^2 of f2 and y^2 of f3 are Tr a, N a, Tr a^(q+1); x^2 and
     # z^2 of f1 and z^2 of f3 are the same values of b
     alphas = np.flatnonzero((tr_e == f2.coeff_raw((2, 0, 0))) & (nrm_e == f2.coeff_raw((0, 2, 0)))

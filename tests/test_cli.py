@@ -581,6 +581,30 @@ def test_search_refuses_a_negative_max_listed(capsys):
     assert out == "" and err == "error: --max-listed must be at least 0, got -3\n"
 
 
+def test_search_refuses_a_negative_budget(capsys):
+    from ovoid7.cli import main
+
+    assert main(["search", "--q", "2", "--budget", "-1", "--no-timing"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --budget must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize("action, option", [
+    ("scan", "--witness"), ("build", "--witness"), ("bounds", "--witness"), ("bounds", "--spec"),
+] + [(action, option) for option in ("--r", "--d")
+     for action in ("build", "scan", "plane-check", "quadric-check")])
+def test_hypersurface_refuses_options_its_action_ignores(capsys, action, option):
+    from ovoid7.cli import main
+
+    value = {"--witness": "w.json", "--spec": SPEC_KS2, "--r": "3", "--d": "3"}[option]
+    # plus the options the action does read, so that only `option` is at fault
+    reads = ["--r", "3", "--d", "3"] if action == "bounds" else ["--spec", SPEC_KS2]
+    assert main(["hypersurface", "--action", action, "--q", "2", option, value, *reads,
+                 "--no-timing"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: argument {option}: not allowed with --action {action}\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["search", "--q", "2", "--mask", "m.json", "--restriction", "homogeneous-top"],
      "argument --restriction: not allowed with argument --mask"),
@@ -648,12 +672,27 @@ def test_kerdock_above_verify_limit_is_unsupported():
 
 
 def test_construct_kantor_even_above_table_order():
-    # q^3 > 2^20: the construction needs only tuple arithmetic
+    # q^3 > 2^20: the construction needs scalar arithmetic only, no packed tables
     for q in ("128", "256"):
         r = run("construct", "--family", "kantor-even", "--q", q, "--no-timing")
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout)["spec_lines"] == ["x^2+x*y+y^2+z^2", "x^2+x*z+y^2",
                                                       "x^2+y*z"]
+
+
+@pytest.mark.parametrize("q", ["128", "1048576"])
+def test_plane_check_kantor_even_above_table_order(tmp_path, q):
+    # the cubic extensions have 2^21 and 2^60 elements, far above the packed
+    # tables' 2^20: the residual is certified with scalar products alone
+    spec = str(tmp_path / "ke.spec")
+    r = run("construct", "--family", "kantor-even", "--q", q, "--spec-out", spec, timeout=60)
+    assert r.returncode == 0, r.stderr
+    r = run("hypersurface", "--action", "plane-check", "--q", q, "--spec", spec,
+            "--witness", "default-basis", "--no-timing", timeout=60)
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["residual_zero"] is True and rep["residual_terms"] == 0
+    assert (rep["alpha"], rep["beta"]) == ([0, 1, 0], [0, 0, 1])
 
 
 # -- the parser is built once per process -----------------------------------------

@@ -1,13 +1,16 @@
 """Field tower arithmetic: construction, Frobenius, trace and norm."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ovoid7.errors import CompositeP, FieldMismatch, NotRational, Unsupported
-from ovoid7.ff import (DEFAULT_MODULI, ExtCtx, Fe, FieldCtx, TowerElem, _mul_reduce,
+from ovoid7.ff import (DEFAULT_MODULI, TABLE_LIMIT, ExtCtx, Fe, FieldCtx, TowerElem, _mul_reduce,
                        _poly_inv_mod, _poly_irreducible, frobenius, make_field, parse_field_spec,
                        rel_norm, rel_trace)
 
@@ -105,8 +108,8 @@ def test_inverse_matches_table_route():
     for a in range(1, ctx.q):
         assert ctx.inv(a) == int(tabs["inv"][a])
         # the extended-Euclid route used above TABLE_LIMIT agrees
-        euclid = _poly_inv_mod(make_field(3, 1), ctx.digits(a), ctx.modulus)
-        assert ctx.from_digits(euclid) == ctx.inv(a)
+        euclid = _poly_inv_mod(make_field(3, 1), ctx.unpack(a), ctx.modulus)
+        assert ctx.pack(euclid) == ctx.inv(a)
 
 
 @given(st.integers(0, 7), st.integers(0, 7))
@@ -124,7 +127,7 @@ def test_frobenius_fixes_base_subfield():
     ctx = make_field(2, 2)
     ext = ExtCtx(ctx, 3)
     for a in range(ctx.q):
-        x = TowerElem(ext, ext.embed(a))
+        x = ext.from_packed(a)                 # F_q embeds as the encodings [0, q)
         for i in range(1, 4):
             assert frobenius(x, i) == x
 
@@ -147,13 +150,12 @@ def test_frobenius_cubed_identity_q4():
     for _ in range(40):
         x = ext.from_packed(rng.randrange(ext.order))
         assert frobenius(x, 3) == x
-        oracle = TowerPow(ext, x.coords, ctx.q ** 3)
-        assert tuple(oracle) == x.coords
+        assert TowerPow(ext, x.v, ctx.q ** 3) == x.v
 
 
-def TowerPow(ext, coords, e):
-    acc = ext.embed(1)
-    base = tuple(coords)
+def TowerPow(ext, a, e):
+    acc = 1
+    base = a
     while e:
         if e & 1:
             acc = ext.mul(acc, base)
@@ -167,7 +169,7 @@ def test_trace_norm_subfield_case():
     ctx = make_field(2, 2)
     ext = ExtCtx(ctx, 3)
     for a in range(ctx.q):
-        x = TowerElem(ext, ext.embed(a))
+        x = ext.from_packed(a)
         assert rel_trace(x).v == ctx.mul(3 % 2, a)     # = a in char 2
         assert rel_norm(x).v == ctx.pow(a, 3)
     assert rel_trace(ext.from_packed(1)).v == 1
@@ -183,7 +185,7 @@ def test_trace_norm_invariance_laws():
         assert rel_norm(x * y) == rel_norm(x) * rel_norm(y)
         # F_q-linearity of the trace
         lam = rng.randrange(5)
-        lhs = rel_trace(TowerElem(ext, ext.embed(lam)) * x + y)
+        lhs = rel_trace(ext.from_packed(lam) * x + y)
         rhs = ext.base.add(ext.base.mul(lam, rel_trace(x).v), rel_trace(y).v)
         assert lhs.v == rhs
 
@@ -192,18 +194,17 @@ def test_trace_norm_digit_level_oracle_f8():
     # conjugate enumeration oracle at q=2, n=3
     ext = ExtCtx(make_field(2, 1), 3)
     for e in range(8):
-        coords = ext.unpack(e)
-        conjs = [coords]
+        conjs = [e]
         for _ in range(2):
             conjs.append(ext.pow(conjs[-1], 2))
-        tr = (0, 0, 0)
+        tr = 0
         for c in conjs:
             tr = ext.add(tr, c)
-        nm = ext.embed(1)
+        nm = 1
         for c in conjs:
             nm = ext.mul(nm, c)
-        assert ext.trace(coords) == ext.descend(tr)
-        assert ext.norm(coords) == ext.descend(nm)
+        assert ext.trace(e) == ext.descend(tr)
+        assert ext.norm(e) == ext.descend(nm)
         assert ext.is_rational(tr) and ext.is_rational(nm)
 
 
@@ -211,15 +212,14 @@ def test_trace_lands_in_base_always():
     for (p, h, n) in ((2, 1, 4), (3, 1, 2), (2, 2, 3), (5, 1, 2)):
         ext = ExtCtx(make_field(p, h), n)
         for e in range(min(ext.order, 200)):
-            coords = ext.unpack(e)
-            ext.trace(coords)
-            ext.norm(coords)           # both raise NotRational on failure
+            ext.trace(e)
+            ext.norm(e)                # both raise NotRational on failure
 
 
 def test_descend_rejects_proper_extension_elements():
     ext = ExtCtx(make_field(2, 1), 3)
     with pytest.raises(NotRational):
-        ext.descend((0, 1, 0))
+        ext.descend(ext.pack((0, 1, 0)))
 
 
 def test_parse_field_spec():
@@ -241,24 +241,31 @@ def test_default_moduli_are_irreducible():
 def test_packed_tables_agree_with_scalar_ops():
     import numpy as np
 
-    for (p, h, n) in ((2, 1, 3), (3, 1, 4), (2, 2, 3)):
+    # orders 8, 81 and 64 lie below TABLE_LIMIT, where scalar products read
+    # log/exp lists; 4096 and 6561 lie above it, where they multiply and
+    # reduce coordinates.  Both sides must match the packed tables and the
+    # coordinate-wise multiply-and-reduce and sum over the base field.
+    assert max(2 ** 3, 3 ** 4, 4 ** 3) <= TABLE_LIMIT < min(16 ** 3, 9 ** 4)
+    for (p, h, n) in ((2, 1, 3), (3, 1, 4), (2, 2, 3), (2, 4, 3), (3, 2, 4)):
         ext = ExtCtx(make_field(p, h), n)
+        base = ext.base
         e = np.arange(ext.order, dtype=np.int64)
-        fr = ext.v_frobenius_packed(e)
-        tr = ext.v_trace_packed(e)
-        nm = ext.v_norm_packed(e)
+        fr = ext.v_frobenius(e)
+        tr = ext.v_trace(e)
+        nm = ext.v_norm(e)
         rng = random.Random(n)
         for _ in range(30):
             k = rng.randrange(ext.order)
-            coords = ext.unpack(k)
-            assert int(fr[k]) == ext.pack(ext.frobenius(coords))
-            assert int(tr[k]) == ext.trace(coords)
-            assert int(nm[k]) == ext.norm(coords)
+            assert int(fr[k]) == ext.frobenius(k)
+            assert int(tr[k]) == ext.trace(k)
+            assert int(nm[k]) == ext.norm(k)
             m = rng.randrange(ext.order)
-            prod = ext.v_mul_packed(np.int64(k), np.int64(m))
-            assert int(prod) == ext.pack(ext.mul(coords, ext.unpack(m)))
-            s = ext.v_add_packed(np.int64(k), np.int64(m))
-            assert int(s) == ext.pack(ext.add(coords, ext.unpack(m)))
+            reduced = ext.pack(_mul_reduce(base, ext._red, ext.unpack(k), ext.unpack(m)))
+            assert int(ext.v_mul(np.int64(k), np.int64(m))) == ext.mul(k, m) == reduced
+            summed = ext.pack([base.add(a, b) for a, b in zip(ext.unpack(k), ext.unpack(m))])
+            assert int(ext.v_add(np.int64(k), np.int64(m))) == ext.add(k, m) == summed
+            diff = ext.pack([base.sub(a, b) for a, b in zip(ext.unpack(k), ext.unpack(m))])
+            assert int(ext.v_sub(np.int64(k), np.int64(m))) == ext.sub(k, m) == diff
 
 
 class _DigitArithmetic:
@@ -273,7 +280,7 @@ class _DigitArithmetic:
 
     def mul(self, a, b):
         c = self.ctx
-        return c.from_digits(_mul_reduce(c._fp, c._red, c.digits(a), c.digits(b)))
+        return c.pack(_mul_reduce(c._K, c._red, c.unpack(a), c.unpack(b)))
 
 
 @pytest.mark.parametrize("field", ["3^4", "9^4", "16^3", "2^10"])
@@ -344,14 +351,12 @@ def test_ext_modulus_deterministic(kind, a, b, modulus):
 @pytest.mark.parametrize("q,n", [(5, 2), (4, 3), (3, 4)])
 def test_ext_inverse_round_trip(q, n):
     ext = ExtCtx(parse_field_spec(str(q)), n)
-    one = ext.embed(1)
-    for e in range(1, ext.order):
-        x = ext.unpack(e)
+    for x in range(1, ext.order):
         inv = ext.inv(x)
-        assert ext.mul(x, inv) == one
+        assert ext.mul(x, inv) == 1
         assert ext.inv(inv) == x
     with pytest.raises(ZeroDivisionError):
-        ext.inv(ext.from_packed(0).coords)
+        ext.inv(0)
 
 
 def test_degree_one_extension_is_the_base_field():
@@ -360,8 +365,8 @@ def test_degree_one_extension_is_the_base_field():
     assert ext.modulus == (1, 1)
     for a in range(1, 3):
         for b in range(3):
-            assert ext.mul((a,), (b,)) == (ctx.mul(a, b),)
-        assert ext.inv((a,)) == (ctx.inv(a),)
+            assert ext.mul(a, b) == ctx.mul(a, b)
+        assert ext.inv(a) == ctx.inv(a)
 
 
 def test_element_wrapper_rules():
@@ -376,18 +381,18 @@ def test_element_wrapper_rules():
             with pytest.raises(FieldMismatch):
                 op(a, bad)
         # TowerElem embeds an Fe of its base field and refuses everything else
-        assert op(x, b) == op(x, TowerElem(ext, ext.embed(b.v)))
+        assert op(x, b) == op(x, ext.from_packed(b.v))
         for bad in (other.element(3), 3, other_ext.element([2, 3])):
             with pytest.raises(FieldMismatch):
                 op(x, bad)
     # the two wrappers never compare equal, not even for n = 1
     one_ext = ExtCtx(ctx, 1)
-    assert a != TowerElem(ext, ext.embed(a.v)) and TowerElem(ext, ext.embed(a.v)) != a
+    assert a != ext.from_packed(a.v) and ext.from_packed(a.v) != a
     assert ctx.element(1) != one_ext.from_packed(1) and one_ext.from_packed(1) != ctx.element(1)
-    assert a != 3 and x != (2, 3)
+    assert a != 3 and x != (2, 3) and x != 17
     # equal elements hash equally
     assert Fe(ctx, 3) == a and hash(Fe(ctx, 3)) == hash(a)
-    assert TowerElem(ext, [2, 3]) == x and hash(TowerElem(ext, (2, 3))) == hash(x)
+    assert TowerElem(ext, 17) == x and hash(TowerElem(ext, 2 + 3 * 5)) == hash(x)
     assert len({a, Fe(ctx, 3), x, ext.element((2, 3))}) == 2
     # division and negative powers
     assert (a / b) * b == a and a ** -1 * a == ctx.element(1) and a ** -2 == (a * a) ** -1
@@ -406,8 +411,35 @@ def test_extension_order_limit_applies_to_tables_only():
 
     ext = ExtCtx(make_field(2, 7), 3)               # 2^21 elements
     t = ext.gen()
-    assert ext.mul((t * t).coords, t.coords) == ext.pow(t.coords, 3)
+    assert ext.mul((t * t).v, t.v) == ext.pow(t.v, 3)
     with pytest.raises(Unsupported, match=r"extension order 2097152 exceeds 2\^20"):
         ext.packed_tables()
     with pytest.raises(Unsupported, match=r"extension order 4194304 exceeds 2\^20"):
         find_artin_schreier_unit(ExtCtx(make_field(2, 11), 2))
+
+
+def test_from_packed_refuses_encodings_outside_the_extension():
+    ext = ExtCtx(make_field(2, 1), 2)
+    for e in (7, -1, 4):
+        with pytest.raises(Unsupported, match=rf"element encoding {e} outside \[0, 4\)"):
+            ext.from_packed(e)
+    assert [ext.from_packed(e).coords for e in range(4)] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+def test_extension_modulus_entries_outside_the_base_field_are_refused():
+    # such a modulus once sent the irreducibility test into an endless loop,
+    # so the check runs in a child process that the timeout can stop
+    code = ("from ovoid7.errors import Unsupported\n"
+            "from ovoid7.ff import ExtCtx, make_field\n"
+            "for m in ((1, 3, 1), (3, 1, 1), (1, -1, 1)):\n"
+            "    try:\n"
+            "        ExtCtx(make_field(2, 1), 2, m)\n"
+            "    except Unsupported as exc:\n"
+            "        print(exc)\n")
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["extension modulus entry 3 outside [0, 2)"] * 2 \
+        + ["extension modulus entry -1 outside [0, 2)"]

@@ -174,7 +174,7 @@ def test_lane_encoding_bounds(p, h):
     # each lane holds one base-p digit and has room for a sum of three
     assert 1 << s > 3 * (p - 1)
     for v in range(q):
-        assert [(int(enc[v]) >> (s * i)) & lane for i in range(h)] == list(ctx.digits(v))
+        assert [(int(enc[v]) >> (s * i)) & lane for i in range(h)] == list(ctx.unpack(v))
     # a sum of three encodings fits the lane dtype, and so do the column keys
     assert enc.dtype == np.uint16
     assert 3 * int(enc.max()) < 1 << (s * h) <= 1 << 16

@@ -275,13 +275,13 @@ def test_independence_mask_matches_rank(p, h, n):
     for _ in range(100):
         al = rng.randrange(ext.order)
         c, d = rng.randrange(base.q), rng.randrange(base.q)
-        beta = ext.add(ext.embed(c), tuple(base.mul(d, x) for x in ext.unpack(al)))
-        pairs.append((al, ext.pack(beta)))                                # beta = c + d alpha
+        beta = ext.add(c, ext.pack([base.mul(d, x) for x in ext.unpack(al)]))
+        pairs.append((al, beta))                                          # beta = c + d alpha
         pairs.append((rng.randrange(base.q), rng.randrange(ext.order)))  # alpha in F_q
     alphas = np.array([x for x, _ in pairs], dtype=np.int64)
     betas = np.array([y for _, y in pairs], dtype=np.int64)
     mask = search._independent_of_one(ext, alphas, betas)
-    expect = [rank(base, [ext.embed(1), ext.unpack(x), ext.unpack(y)]) == 3 for x, y in pairs]
+    expect = [rank(base, [ext.unpack(1), ext.unpack(x), ext.unpack(y)]) == 3 for x, y in pairs]
     assert mask.tolist() == expect
     assert not any(expect[300:])
     assert any(expect)
@@ -296,7 +296,7 @@ def test_hyperplane_witness_search_guards():
     ext = ExtCtx(make_field(3, 3), 4)
     with pytest.raises(Unsupported, match="exceed budget"):
         hyperplane_witness_search(ext)
-    assert not ext._packed
+    assert not ext._np and ext._log_exp is None
 
 
 # -- basis recognition -----------------------------------------------------------
