@@ -110,16 +110,29 @@ def _ternary_zero(low, t):
 _LANE_TESTS = {2: _even_zero, 3: _ternary_zero}
 
 
+def _lane_width(p: int) -> int:
+    """Bits per lane s, 2^s > 3(p - 1): a sum of three lanes never carries."""
+    return (3 * (p - 1)).bit_length()
+
+
+def _lane_canon(ctx: FieldCtx):
+    """canon[t], t < 2^(s*h): the element whose digits are the lanes of the
+    lane sum t reduced mod p; t is a zero sum iff canon[t] == 0."""
+    p, h, s = ctx.p, ctx.h, _lane_width(ctx.p)
+    t = np.arange(1 << (s * h))
+    return sum((t >> (s * i) & ((1 << s) - 1)) % p * p ** i for i in range(h))
+
+
 def lane_encoding(ctx: FieldCtx):
-    """(enc, is_zero): enc[v] holds the base-p digits of v in s-bit lanes,
-    2^s > 3(p - 1); is_zero(t) takes a uint16 array of sums of three
+    """(enc, is_zero): enc[v] holds the base-p digits of v in s-bit lanes
+    (see _lane_width); is_zero(t) takes a uint16 array of sums of three
     encodings and says for each sum whether every lane is 0 mod p.  In
     characteristics 2 and 3 that is a bit test on the lanes, valid only
     for such sums (each lane at most 3(p - 1): the char-3 test reads a
     lane of 7 as 0); otherwise a lookup in a boolean table over the
     2^(s*h) possible sums."""
     p, h = ctx.p, ctx.h
-    s = (3 * (p - 1)).bit_length()
+    s = _lane_width(p)
     if s * h > 16 or 3 * ctx.q ** 2 > 1 << 16:
         raise Unsupported(f"the pair kernel's 16-bit lanes and keys do not fit q={ctx.q}")
     v = np.arange(ctx.q)
@@ -127,10 +140,7 @@ def lane_encoding(ctx: FieldCtx):
     if p in _LANE_TESTS:
         low = np.uint16(sum(1 << (s * i) for i in range(h)))
         return enc, functools.partial(_LANE_TESTS[p], low)
-    t = np.arange(1 << (s * h))
-    zero = np.ones(len(t), dtype=bool)
-    for i in range(h):
-        zero &= (t >> (s * i) & ((1 << s) - 1)) % p == 0
+    zero = _lane_canon(ctx) == 0
     zero.flags.writeable = False
     return enc, zero.take
 
@@ -282,7 +292,7 @@ def _line_constants(ctx: FieldCtx, kappas: Tuple[int, ...]):
     counts[g_0 + q g_1 + ... + q^k g_k] is the zero count of the line with
     those values, and canons[j][t] is q^j times the field element whose
     digits are the lanes of the lane sum t reduced mod p."""
-    p, q, h = ctx.p, ctx.q, ctx.h
+    p, q = ctx.p, ctx.q
     k = len(kappas)
     ar = np.arange(q)
     b = np.arange(q ** k)                   # beta with digits b = sum_i beta_i q^i
@@ -302,9 +312,7 @@ def _line_constants(ctx: FieldCtx, kappas: Tuple[int, ...]):
     index = ar + sum(ctx.v_add(ar, lam[:, z:z + 1]) * q ** j for j, z in enumerate(zs, 1))
     counts = np.zeros(q ** (k + 1), dtype=np.uint8)
     counts[index.ravel()] = (kernel[:, None] * image).ravel()
-    s = (3 * (p - 1)).bit_length()
-    t = np.arange(1 << (s * h))
-    canon = sum((t >> (s * i) & ((1 << s) - 1)) % p * p ** i for i in range(h))
+    canon = _lane_canon(ctx)
     canons = np.stack([canon * q ** j for j in range(k + 1)])
     for a in (canons, counts):
         a.flags.writeable = False

@@ -262,7 +262,7 @@ def _int_list(data: dict, key: str, length: int, path: str, limit: int) -> tuple
 
 
 def _plane_check(args, ctx, spec) -> tuple:
-    ext_degree = 3 if spec.degree == 2 else 4
+    ext_degree = hyp.hyperplane_count(spec.degree)   # refuses before any extension is built
     ext = ExtCtx(ctx, ext_degree)
     if args.witness and args.witness != "default-basis":
         data = _read_json(args.witness, "witness")

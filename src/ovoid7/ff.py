@@ -8,8 +8,10 @@ F_q holds [0, q), F_{q^n} holds [0, q^n), and F_q embeds in F_{q^n} as the
 encodings [0, q).  Coordinate tuples appear only at the edges: pack/unpack,
 ExtCtx.element, ExtCtx.parse_element and the TowerElem.coords view.
 
-Contexts are immutable after construction and all element operations are
-pure, so contexts can be shared freely across threads.
+Construction settles the modulus and nothing else: log/exp lists and numpy
+tables are built by the first product or vector op that needs them.  The
+values of a context never change and all element operations are pure, so
+contexts can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 from .errors import CompositeP, FieldMismatch, NotRational, ParseError, Unsupported
 
 MAX_ORDER = 1 << 20
-# scalar log/exp lists, flat sum tables and FieldCtx.np_tables stop at this
-# order; ExtCtx.packed_tables go up to MAX_ORDER
+# scalar log/exp lists and the odd-p flat sum tables stop at this order; the
+# other numpy tables go up to MAX_ORDER
 TABLE_LIMIT = 1 << 10
 
 # Curated default moduli, coefficients low-degree-first including the
@@ -224,10 +226,13 @@ def _poly_irreducible(K, f) -> bool:
 
 def _smallest_irreducible(K, n: int) -> Tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree n over K,
-    comparing (c_0, ..., c_{n-1}) with c_0 most significant."""
-    for head in itertools.product(range(1, K.q), *[range(K.q)] * (n - 1)):
-        if _poly_irreducible(K, head + (1,)):
-            return head + (1,)
+    comparing (c_0, ..., c_{n-1}) with c_0 most significant.  Candidates
+    are counted up as integers with those digits, c_0 >= 1, one at a time."""
+    q = K.q
+    for k in range(q ** (n - 1), q ** n):
+        f = tuple(k // q ** (n - 1 - i) % q for i in range(n)) + (1,)
+        if _poly_irreducible(K, f):
+            return f
     raise RuntimeError("no irreducible polynomial found")  # pragma: no cover
 
 
@@ -358,19 +363,31 @@ class _QuotientField:
     sum(c_i * |K|^i).  Its base-p digits are the F_p coordinates of the c_i
     laid end to end, so sums work digit by digit (XOR when p = 2).  Products
     read log/exp lists up to TABLE_LIMIT elements and multiply-and-reduce
-    the unpacked coordinates above it.  A subclass sets p, order and base
+    the unpacked coordinates above it.  A subclass sets p, q, order and base
     (the field that `lift` and `descend` move to; a FieldCtx is its own),
-    calls _init_ring, and names in _tables its public table method, which
-    every vector op goes through, so each table build runs in that method.
+    then calls this constructor.  No list or table is built until the first
+    product or vector op needs it.
     """
 
-    def _init_ring(self, K, modulus: Tuple[int, ...]):
-        self._K = K
-        self._deg = len(modulus) - 1
-        self.modulus = modulus
+    _what = "modulus"               # the modulus's name in messages
+    _defaults = DEFAULT_MODULI      # curated moduli by (p, degree)
+
+    def __init__(self, K, n: int, modulus: Optional[Sequence[int]]):
+        """K[t]/(m) for a monic irreducible m of degree n with entries in
+        [0, |K|); by default the curated one, else the smallest irreducible."""
+        if modulus is None:
+            modulus = self._defaults.get((self.p, n)) or _smallest_irreducible(K, n)
+        modulus = tuple(int(c) for c in modulus)
+        for c in modulus:
+            if not 0 <= c < K.q:
+                raise Unsupported(f"{self._what} entry {c} outside [0, {K.q})")
+        if len(modulus) != n + 1 or modulus[-1] != 1:
+            raise Unsupported(f"{self._what} must be monic of degree {n}")
+        if not _poly_irreducible(K, modulus):
+            raise Unsupported(f"{self._what} is reducible")
+        self._K, self._deg, self.modulus = K, n, modulus
         self._red = _reduction_rows(K, modulus)
-        self._log_exp = None
-        self._scalar = None
+        self._log_exp = self._scalar = None
         self._np = {}
 
     # -- encoding ------------------------------------------------------------
@@ -471,7 +488,7 @@ class _QuotientField:
             return self.pow(self.inv(a), -e)
         return _power(self.mul, 1, a, e)
 
-    # -- table machinery --------------------------------------------------------
+    # -- tables, built on first use ---------------------------------------------
 
     def _log_exp_tables(self) -> dict:
         if self._log_exp is None:
@@ -484,15 +501,29 @@ class _QuotientField:
         self._scalar = t["logt"].tolist(), t["expx"][: 2 * self.order].tolist()
         return self._scalar
 
-    def _build_tables(self) -> dict:
-        """log/exp tables, and for odd p up to TABLE_LIMIT the flat order x order
-        sum and difference tables."""
+    def check_scannable(self) -> None:
+        """Numpy tables and element-by-element scans stop at 2^20 elements,
+        which only an extension can pass; scalar arithmetic has no limit."""
+        if self.order > MAX_ORDER:
+            raise Unsupported(f"extension order {self.order} exceeds 2^20")
+
+    def _tables(self) -> dict:
+        """The numpy tables of every vector op: log/exp; for odd p up to
+        TABLE_LIMIT the flat order x order sums and differences; and for an
+        extension frob, the q-power map."""
+        if self._np:
+            return self._np
+        self.check_scannable()
         tab = dict(self._log_exp_tables())
         N = self.order
         if self.p != 2 and self.p < N <= TABLE_LIMIT:
             ar = np.arange(N)
             tab["add_flat"] = self._v_coordinates(self._K.v_add, ar[:, None], ar[None, :]).ravel()
             tab["sub_flat"] = self._v_coordinates(self._K.v_sub, ar[:, None], ar[None, :]).ravel()
+        if self.base is not self:
+            tab["frob"] = np.zeros(N, dtype=np.int64)
+            tab["frob"][tab["expx"][: N - 1]] = tab["expx"][(np.arange(N - 1) * self.q) % (N - 1)]
+        self._np = tab
         return tab
 
     # -- vectorized ops (numpy int64 arrays of encodings) -------------------------
@@ -529,6 +560,10 @@ class _QuotientField:
         t = self._tables()
         return t["expx"][t["logt"][a] + t["logt"][b]]
 
+    def v_pow(self, a, e: int):
+        """a^e elementwise for e >= 0, by square and multiply over v_mul."""
+        return _power(self.v_mul, np.ones_like(a), a, e)
+
 
 class FieldCtx(_QuotientField):
     """Arithmetic context for F_q = F_p[t]/(m), q = p^h <= 2^20.
@@ -551,15 +586,7 @@ class FieldCtx(_QuotientField):
         self.q = self.order = p ** h
         self.base = self
         # coefficient context of the quotient ring: F_p itself
-        fp = self if h == 1 else make_field(p, 1)
-        if modulus is None:
-            modulus = DEFAULT_MODULI.get((p, h)) or _smallest_irreducible(fp, h)
-        modulus = tuple(int(c) % p for c in modulus)
-        if len(modulus) != h + 1 or modulus[-1] != 1:
-            raise Unsupported("modulus must be monic of degree h")
-        if not _poly_irreducible(fp, modulus):
-            raise Unsupported("modulus is reducible over the prime field")
-        self._init_ring(fp, modulus)
+        super().__init__(self if h == 1 else make_field(p, 1), h, modulus)
 
     def element(self, a: int) -> Fe:
         if not 0 <= a < self.q:
@@ -589,32 +616,8 @@ class FieldCtx(_QuotientField):
         return self.pow(a, (self.q - 1) // 2) == 1
 
     def np_tables(self) -> dict:
-        """Numpy lookup tables for vectorized arithmetic (q <= TABLE_LIMIT):
-        log/exp, inverses and, for odd p, flat sums and differences."""
-        if self.q > TABLE_LIMIT:
-            raise Unsupported(f"vectorized tables unavailable for q={self.q}")
-        if not self._np:
-            tab = self._build_tables()
-            inv = np.zeros(self.q, dtype=np.int64)
-            inv[1:] = tab["expx"][(self.q - 1 - tab["logt"][1:]) % (self.q - 1)]
-            self._np = dict(tab, inv=inv)
-        return self._np
-
-    def _tables(self) -> dict:
-        return self.np_tables()
-
-    def v_pow(self, a, e: int):
-        if e == 0:
-            return np.ones_like(a)
-        if self.h == 1:
-            # repeated squaring keeps every product in int64 range
-            return _power(self.v_mul, np.ones_like(a), a % self.p, e)
-        t = self.np_tables()
-        lg = t["logt"][a]
-        zero = lg >= 2 * self.q
-        out = t["expx"][(lg * e) % t["order"]]
-        out[zero] = 0
-        return out
+        """The numpy tables of the vector ops, built once (see _tables)."""
+        return self._tables()
 
     def __repr__(self):
         return f"FieldCtx(GF({self.p}^{self.h}))"
@@ -659,6 +662,9 @@ class ExtCtx(_QuotientField):
     {1,2,3,4}; an element is the packed integer sum(c_i * q^i) of its
     coordinates over F_q, so F_q embeds as [0, q)."""
 
+    _what = "extension modulus"
+    _defaults = {}
+
     def __init__(self, base: FieldCtx, n: int, modulus: Optional[Sequence[int]] = None):
         if n not in (1, 2, 3, 4):
             raise Unsupported("extension degree must be 1..4")
@@ -667,23 +673,17 @@ class ExtCtx(_QuotientField):
         self.p = base.p
         self.q = base.q
         self.order = base.q ** n
-        if modulus is None:
-            modulus = _smallest_irreducible(base, n)
-        modulus = tuple(int(c) for c in modulus)
-        if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise Unsupported("extension modulus must be monic of degree n")
-        for c in modulus:
-            if not 0 <= c < base.q:
-                raise Unsupported(f"extension modulus entry {c} outside [0, {base.q})")
-        if not _poly_irreducible(base, modulus):
-            raise Unsupported("extension modulus is reducible")
-        self._init_ring(base, modulus)
-        self._frob_rows = None
-        self._check_frobenius_order()
-
-    def _check_frobenius_order(self):
-        t = x = self.gen().v
-        for _ in range(self.n):
+        super().__init__(base, n, modulus)
+        # the q-power map is F_q-linear: row j holds the coordinates of
+        # (t^j)^q, found by multiply-and-reduce as in _poly_irreducible
+        mul = functools.partial(_mul_reduce, base, self._red)
+        t = self.gen().v
+        tq = _power(mul, self.unpack(1), self.unpack(t), self.q)
+        self._frob_rows = [self.unpack(1)]
+        for _ in range(n - 1):
+            self._frob_rows.append(mul(self._frob_rows[-1], tq))
+        x = t
+        for _ in range(n):
             x = self.frobenius(x)
         if x != t:
             raise Unsupported("Frobenius applied n times is not the identity")
@@ -726,11 +726,7 @@ class ExtCtx(_QuotientField):
     # -- Frobenius / trace / norm --------------------------------------------
 
     def frobenius(self, a: int, i: int = 1) -> int:
-        """a^(q^i).  The q-power map is F_q-linear: it sends the coordinates
-        (c_j) to sum c_j (t^j)^q, one step per power."""
-        if self._frob_rows is None:
-            tq = self.pow(self.gen().v, self.q)
-            self._frob_rows = [self.unpack(self.pow(tq, j)) for j in range(self.n)]
+        """a^(q^i): the coordinates (c_j) go to sum c_j (t^j)^q, one step per power."""
         K = self.base
         for _ in range(i % self.n):
             out = [0] * self.n
@@ -740,66 +736,38 @@ class ExtCtx(_QuotientField):
             a = self.pack(out)
         return a
 
-    def _conjugate_fold(self, a: int, op) -> int:
-        """op over the n conjugates a, a^q, ..., which must land in F_q."""
+    def v_frobenius(self, a):
+        return self._tables()["frob"][a]
+
+    def _conjugate_fold(self, a, op, frob, what: str):
+        """op over the n conjugates a, a^q, ..., which must land in F_q; a is
+        an encoding or a numpy array of them, with op and frob to match."""
         acc = x = a
         for _ in range(self.n - 1):
-            x = self.frobenius(x)
+            x = frob(x)
             acc = op(acc, x)
-        return self.descend(acc)
+        if np.any(acc >= self.q):
+            raise NotRational(f"{what} left the base field")
+        return acc
 
     def trace(self, a: int) -> int:
-        return self._conjugate_fold(a, self.add)
+        return self._conjugate_fold(a, self.add, self.frobenius, "trace")
 
     def norm(self, a: int) -> int:
-        return self._conjugate_fold(a, self.mul)
-
-    # -- element tables --------------------------------------------------------
-
-    def check_scannable(self) -> None:
-        """Packed tables and element-by-element scans stop at 2^20 elements;
-        scalar arithmetic has no such limit."""
-        if self.order > MAX_ORDER:
-            raise Unsupported(f"extension order {self.order} exceeds 2^20")
-
-    def packed_tables(self) -> dict:
-        """log/exp and Frobenius tables over packed integers and, for odd p
-        up to TABLE_LIMIT, flat sums and differences."""
-        if self._np:
-            return self._np
-        self.check_scannable()
-        tab = self._build_tables()
-        N = self.order
-        frob = np.zeros(N, dtype=np.int64)
-        frob[tab["expx"][: N - 1]] = tab["expx"][(np.arange(N - 1) * self.q) % (N - 1)]
-        self._np = dict(tab, frob=frob)
-        return self._np
-
-    def _tables(self) -> dict:
-        return self.packed_tables()
-
-    def v_frobenius(self, a):
-        return self.packed_tables()["frob"][a]
-
-    def _v_conjugate_fold(self, a, op, what: str):
-        """op over the n conjugates a, a^q, ..., which must land in F_q."""
-        conj = a
-        tot = a.copy()
-        for _ in range(self.n - 1):
-            conj = self.v_frobenius(conj)
-            tot = op(tot, conj)
-        # rational check: higher digits vanish
-        if np.any(tot >= self.q):
-            raise NotRational(f"{what} left the base field")
-        return tot
+        return self._conjugate_fold(a, self.mul, self.frobenius, "norm")
 
     def v_trace(self, a):
         """Absolute trace to F_q of packed elements, as base encodings."""
-        return self._v_conjugate_fold(a, self.v_add, "trace")
+        return self._conjugate_fold(a, self.v_add, self.v_frobenius, "trace")
 
     def v_norm(self, a):
         """Absolute norm to F_q of packed elements, as base encodings."""
-        return self._v_conjugate_fold(a, self.v_mul, "norm")
+        return self._conjugate_fold(a, self.v_mul, self.v_frobenius, "norm")
+
+    def packed_tables(self) -> dict:
+        """The numpy tables of the vector ops, Frobenius included, built once
+        (see _tables)."""
+        return self._tables()
 
     def __repr__(self):
         return f"ExtCtx(GF(({self.base.p}^{self.base.h})^{self.n}))"

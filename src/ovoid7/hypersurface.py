@@ -110,20 +110,20 @@ def _conjugate_plane(ext: ExtCtx, alpha: int, beta: int, power: int) -> MPoly:
     return U + V.scale(ext.frobenius(alpha, power)) + W.scale(ext.frobenius(beta, power))
 
 
-def hyperplane_product_residual(spec: OvoidSpec, witness: HyperplaneWitness) -> MPoly:
-    """F minus the product of the conjugate hyperplanes through the witness.
-
-    Degree-2 triples use three planes over the cubic extension; degree-3
-    triples use four planes over the quartic extension.  A zero residual
-    certifies the split.
-    """
-    d = spec.degree
-    if d == 2:
-        nplanes = 3
-    elif d == 3:
-        nplanes = 4
-    else:
+def hyperplane_count(d: int) -> int:
+    """The number of conjugate hyperplanes in the split of a degree-d
+    triple, which is also the degree of the extension they live in: three
+    over the cubic extension for d = 2, four over the quartic for d = 3."""
+    if d not in (2, 3):
         raise Unsupported(f"hyperplane splits apply to degree 2 or 3, got {d}")
+    return d + 1
+
+
+def hyperplane_product_residual(spec: OvoidSpec, witness: HyperplaneWitness) -> MPoly:
+    """F minus the product of the conjugate hyperplanes through the witness
+    (see hyperplane_count).  A zero residual certifies the split."""
+    d = spec.degree
+    nplanes = hyperplane_count(d)
     ext = witness.ext
     if ext.n != nplanes:
         raise Unsupported(f"degree-{d} split needs an extension of degree {nplanes}")

@@ -198,7 +198,7 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
     q = ctx.q
     monos, fixed = cfg._monos, cfg._fixed
     n = len(monos)
-    enc, is_zero = _pairscan.lane_encoding(ctx)
+    prod, is_zero = _pairscan._constants(ctx)[:2]
 
     # value tables of each monomial on the q^3 grid, in scan order
     xs, ys, zs = _pairscan.coordinate_arrays(q)
@@ -228,7 +228,7 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
             coeffs, free, low = comps[c]
             tabs, inv = _chunk_tables(ctx, mono_vals, coeffs, free, low, chunk)
             u = (zs, ys, xs)[c]                   # f1 pairs with z, f2 with y, f3 with x
-            codes = enc[ctx.v_mul(u[None, 1:], tabs[:, 1:])]
+            codes = prod[u[None, 1:] * q + tabs[:, 1:]]
             current[c] = (chunk, (tabs, codes, chunk * q ** low, inv))
         return current[c][1]
 

@@ -695,6 +695,17 @@ def test_plane_check_kantor_even_above_table_order(tmp_path, q):
     assert (rep["alpha"], rep["beta"]) == ([0, 1, 0], [0, 0, 1])
 
 
+def test_plane_check_refuses_other_degrees_before_building_an_extension(tmp_path):
+    # a degree-5 triple once had its quartic extension over F_{2^20} built
+    # first, a default-modulus search of minutes, before the degree refusal
+    spec = tmp_path / "deg5.spec"
+    spec.write_text("x^5\ny\nz\n")
+    r = run("hypersurface", "--action", "plane-check", "--q", "1048576", "--spec", str(spec),
+            "--witness", "default-basis", timeout=20)
+    assert r.returncode == 3, r.stderr                          # EXIT_UNSUPPORTED
+    assert "degree 2 or 3" in r.stderr and "Traceback" not in r.stderr
+
+
 # -- the parser is built once per process -----------------------------------------
 
 

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -106,7 +107,8 @@ def test_inverse_matches_table_route():
     ctx = make_field(3, 3)
     tabs = ctx.np_tables()
     for a in range(1, ctx.q):
-        assert ctx.inv(a) == int(tabs["inv"][a])
+        # a^-1 = g^(q - 1 - log a) read off the numpy log/exp tables
+        assert ctx.inv(a) == int(tabs["expx"][(ctx.q - 1 - tabs["logt"][a]) % (ctx.q - 1)])
         # the extended-Euclid route used above TABLE_LIMIT agrees
         euclid = _poly_inv_mod(make_field(3, 1), ctx.unpack(a), ctx.modulus)
         assert ctx.pack(euclid) == ctx.inv(a)
@@ -443,3 +445,36 @@ def test_extension_modulus_entries_outside_the_base_field_are_refused():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["extension modulus entry 3 outside [0, 2)"] * 2 \
         + ["extension modulus entry -1 outside [0, 2)"]
+
+
+def test_extension_construction_builds_no_tables():
+    # the Frobenius rows and their self-check multiply and reduce coordinates
+    ext = ExtCtx(make_field(2, 3), 3)
+    assert ext._log_exp is None and ext._scalar is None and not ext._np
+    assert ext.frobenius(ext.gen().v, 3) == ext.gen().v and ext._log_exp is None
+    t = ext.gen().v
+    assert ext.mul(t, t) == ext.pow(t, 2) and ext._log_exp is not None and not ext._np
+    ext.v_mul(np.int64(t), np.int64(t))
+    assert set(ext._np) >= {"logt", "expx", "frob"}
+
+
+def test_field_modulus_entries_outside_the_prime_field_are_refused():
+    # such entries were once reduced mod p, so (1, 1, 0, 3) passed as monic
+    for modulus, entry in (((1, 1, 0, 3), 3), ((3, 1, 0, 1), 3), ((1, -1, 0, 1), -1)):
+        with pytest.raises(Unsupported, match=rf"^modulus entry {entry} outside \[0, 2\)$"):
+            FieldCtx(2, 3, modulus)
+    with pytest.raises(Unsupported, match="must be monic of degree 3"):
+        FieldCtx(2, 3, (1, 1, 0, 1, 0))
+    with pytest.raises(Unsupported, match="modulus is reducible"):
+        FieldCtx(2, 3, (1, 0, 0, 1))
+
+
+@pytest.mark.parametrize("field", ["5", "8", "9", "2^11", "(2^2)^3"])
+def test_v_pow_matches_scalar_pow_on_every_element(field):
+    # 2^11 lies above TABLE_LIMIT, where FieldCtx once had no vector ops
+    ctx = {"5": (5, 1), "8": (2, 3), "9": (3, 2), "2^11": (2, 11)}.get(field)
+    ctx = make_field(*ctx) if ctx else ExtCtx(make_field(2, 2), 3)
+    a = np.arange(ctx.order, dtype=np.int64)
+    for e in (0, 1, 2, 7, ctx.order + 2):
+        got = ctx.v_pow(a, e).tolist()
+        assert got == [ctx.pow(x, e) for x in range(ctx.order)], e
