@@ -27,7 +27,10 @@ the difference route above; the line route, for triples with a
 coordinate v that occurs in every monomial with exponent 0 or p^kappa,
 where each g_d is affine linearized along the lines s + z e_v and
 _pairscan.line_count counts its zeros line by line in O(q^5) pair
-values; and the pair scan, O(q^6), for every other triple.
+values (only the kappas whose slopes do not cancel symbolically count,
+see live_kappas; with none, every g_d is constant along its lines and
+one plane of q^5 pair values suffices); and the pair scan, O(q^6), for
+every other triple.
 """
 
 from __future__ import annotations
@@ -101,6 +104,48 @@ def line_coordinate(spec) -> Optional[Tuple[int, Tuple[int, ...]]]:
         if ctx.q ** (len(kappas) + 1) <= LINE_TABLE_LIMIT:
             found.append((v, kappas))
     return min(found, key=lambda c: len(c[1]), default=None)
+
+
+def live_kappas(spec, v: int, kappas: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The kappas of line_coordinate(spec) = (v, kappas) whose slopes do
+    not cancel symbolically.
+
+    Let w0, w1 be the other two coordinates.  On the line s + z e_v the
+    slice g_d has the coefficient -P_kappa(d, s') at z^(p^kappa), with s'
+    the w0, w1 coordinates of s and d' those of d,
+
+        P_kappa = sum over u of d_u (b_u(s' + d') - b_u(s')),
+
+    and b_u the cofactor, in the f paired with u (x with f3, y with f2, z
+    with f1), of every v^(p^kappa') with kappa' = kappa mod h.  A kappa is
+    dropped iff P_kappa, in the five variables d and s', is the zero
+    polynomial, so the slope is zero everywhere and the line count stays
+    exact.  That holds iff b_v is constant, b_w0 = c + alpha w1 and
+    b_w1 = c' - alpha w0: d_v occurs in no other term; a monomial
+    c w0^a w1^b of b_w0 with a > 0 leaves c d_w0^(a+1) s_w1^b, which has
+    no d_w1 and so nothing to cancel against, and one with a = 0 leaves
+    c d_w0 d_w1^b, which the d_w1 term only meets at b = 1 (and the same
+    for b_w1).  So the check reads each term once and expands nothing."""
+    ctx = spec.ctx
+    w0, w1 = (w for w in range(3) if w != v)
+    paired = (spec.f3, spec.f2, spec.f1)
+
+    def cofactor(u: int, kappa: int) -> dict:
+        """{(a, b): c} for the monomials c w0^a w1^b of b_u."""
+        out = {}
+        for key, c in paired[u].terms.items():
+            e = unpack_exps(key, 3)
+            if e[v] and _frobenius_power(ctx.p, e[v]) % ctx.h == kappa:
+                out[e[w0], e[w1]] = ctx.add(out.get((e[w0], e[w1]), 0), c)
+        return {m: c for m, c in out.items() if c}
+
+    def lives(kappa: int) -> bool:
+        b_v, b_0, b_1 = (cofactor(u, kappa) for u in (v, w0, w1))
+        return not (b_v.keys() <= {(0, 0)} and b_0.keys() <= {(0, 0), (0, 1)}
+                    and b_1.keys() <= {(0, 0), (1, 0)}
+                    and ctx.add(b_0.get((0, 1), 0), b_1.get((1, 0), 0)) == 0)
+
+    return tuple(kappa for kappa in kappas if lives(kappa))
 
 
 def choose_route(spec) -> str:
@@ -215,7 +260,9 @@ def exact_scan(spec, early_exit: bool, threads: int = 1):
             return route, _pairscan.pair_scan(ctx, tables, early_exit=True, threads=threads)
     if route == "line":
         counts = None
-        total = _pairscan.line_count(ctx, tables, *line_coordinate(spec), threads=threads)
+        v, kappas = line_coordinate(spec)
+        total = _pairscan.line_count(ctx, tables, v, live_kappas(spec, v, kappas),
+                                     threads=threads)
     else:
         counts = zero_counts(ctx, tables)
         total = int(counts.sum())

@@ -322,19 +322,24 @@ def _line_constants(ctx: FieldCtx, kappas: Tuple[int, ...]):
 def line_count(ctx: FieldCtx, tables, v: int, kappas: Tuple[int, ...], threads: int = 1) -> int:
     """Ordered count of off-diagonal zeros, 2 * pair_scan(...).zero_pairs,
     counted along the lines s + z e_v: on each, every slice g_d(s) =
-    L(s, s + d) of a triple in which coordinate v occurs only with
-    exponents 0 and p^kappa (kappa mod h in kappas) is affine linearized
-    in z, so its values at z = 0, zs[0], ..., zs[k-1] give its zero count
-    (see _line_constants).
+    L(s, s + d) has the form gamma + sum_i beta_i z^(p^kappas[i]), affine
+    linearized in z, when coordinate v occurs only with exponents 0 and
+    p^kappa and kappas holds every kappa mod h whose slope beta does not
+    vanish identically (_diffroute.live_kappas).  So its values at z = 0,
+    zs[0], ..., zs[k-1] give its zero count (see _line_constants).
 
     Plane j holds the triples whose coordinate v is the j-th of 0, zs[0],
     ...; it gets the kernel's row tables, and its column keys are shifted
     by the same zs[j-1] e_v, so cell (m, t) of every plane is a value of
-    g_(t - m) on the line through base row m.  Results are sums of
-    integers, the same for every thread count."""
+    g_(t - m) on the line through base row m.  With no kappas every slice
+    is constant along its lines: the plane v = 0 alone, q^5 pair values
+    under the kernel's zero test, gives q zeros per zero cell (the test
+    takes half the time of the canon and count lookups on that plane,
+    2-vCPU VM, q = 27 and 47).  Results are sums of integers, the same
+    for every thread count."""
     q = ctx.q
-    prod, _, left, right, mix = _constants(ctx)
-    zs, canons, counts = _line_constants(ctx, kappas)
+    prod, is_zero, left, right, mix = _constants(ctx)
+    zs, canons, counts = _line_constants(ctx, kappas) if kappas else ((), None, None)
     us, gs, keys = _scan_inputs(mix, tables)
     n = keys.shape[1]
     coord = us[v]
@@ -353,7 +358,11 @@ def line_count(ctx: FieldCtx, tables, v: int, kappas: Tuple[int, ...], threads: 
                       for u, g in rows]
         total = 0
         for c in range(len(pieces[0])):
-            idx = canons[0].take(_lane_sums(row_tables[0], pieces[0][c]))
+            sums = _lane_sums(row_tables[0], pieces[0][c])
+            if not zs:                      # q zeros on a line through a zero cell
+                total += q * int(np.count_nonzero(is_zero(sums)))
+                continue
+            idx = canons[0].take(sums)
             for canon, table, keys_j in zip(canons[1:], row_tables[1:], pieces[1:]):
                 idx += canon.take(_lane_sums(table, keys_j[c]))
             total += int(counts.take(idx).sum())

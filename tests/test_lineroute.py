@@ -1,8 +1,10 @@
 """The line route for triples affine linearized in one coordinate, against
 the pair kernel and a scalar count: exact ordered zero counts, the count
-table, thread invariance, coordinate and route choice."""
+table, thread invariance, coordinate and route choice, and the slope check
+that drops Frobenius powers, against slopes taken point by point."""
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from ovoid7.families import (Famiglia1Params, default_tower_basis, dye, famiglia
                              kantor_2mod3, kantor_even, kantor_simple, ree_tits, thas_kantor)
 from ovoid7.ff import factorize, make_field
 from ovoid7.hypersurface import affine_point_scan
-from ovoid7.mpoly import MAX_EXP, MPoly, unpack_exps
+from ovoid7.mpoly import MAX_EXP, MPoly, pack_exps, unpack_exps
 from ovoid7.quadric import OvoidSpec, verify_ovoid
 
 QS = (3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27)
@@ -188,9 +190,14 @@ def _thas_kantor(ctx):
     return thas_kantor(ctx, next(m for m in range(1, ctx.q) if not ctx.is_square(m)))
 
 
+def _famiglia1(ctx):
+    return famiglia1(ctx, Famiglia1Params(epsilon=1, C4=1, D4=2))
+
+
 @pytest.mark.parametrize("name,make,q", [("thas-kantor", _thas_kantor, 27),
                                          ("kantor-2mod3", kantor_2mod3, 17),
-                                         ("ree-tits", ree_tits, 27)])
+                                         ("ree-tits", ree_tits, 27),
+                                         ("famiglia1", _famiglia1, 11)])
 def test_families_verify_on_the_line_route(name, make, q):
     spec = make(field(q))
     rep = verify_ovoid(spec, threads=1)
@@ -204,7 +211,7 @@ def test_route_choice():
     assert route(_thas_kantor(field(27))) == "line"
     assert route(kantor_2mod3(field(17))) == "line"
     assert route(ree_tits(field(27))) == "line"
-    assert route(famiglia1(field(11), Famiglia1Params(epsilon=1, C4=1, D4=2))) == "line"
+    assert route(_famiglia1(field(11))) == "line"
     assert route(kantor_simple(field(16))) == "difference"
     assert route(kantor_even(default_tower_basis(field(16)))) == "difference"
     assert route(dye(field(8))) == "pair-scan"                        # q < MIN_Q
@@ -237,3 +244,268 @@ def test_table_limit_rules_out_large_tables(monkeypatch):
     monkeypatch.setattr(_diffroute, "LINE_TABLE_LIMIT", 16 ** 5)
     assert _diffroute.line_coordinate(spec) == (1, (0, 1, 2, 3))
     assert _diffroute.choose_route(spec) == "line"
+
+
+# coordinate u of L(s, t) = sum (u_s - u_t)(g_t - g_s) is paired with
+# g = (f1, f2, f3)[PAIRED[u]]: x with f3, y with f2, z with f1
+PAIRED = (2, 1, 0)
+
+
+def cancelling_spec(ctx, rng, v, kappas):
+    """A random triple in which coordinate v occurs only as v^(p^kappa),
+    kappa in kappas, and every slope cancels: for the other coordinates
+    w0, w1, crossed cofactors a*v^(p^kappa)*w1 in the f paired with w0 and
+    -a*v^(p^kappa)*w0 in the f paired with w1, lone v^(p^kappa) terms, and
+    v-free terms with exponents up to 3."""
+    w0, w1 = (w for w in range(3) if w != v)
+    terms = [{}, {}, {}]
+
+    def add(f, c, *powers):
+        exps = [0, 0, 0]
+        for u, e in powers:
+            exps[u] = e
+        terms[f][tuple(exps)] = ctx.add(terms[f].get(tuple(exps), 0), c)
+
+    for kappa in kappas:
+        e = ctx.p ** kappa
+        a = rng.randrange(1, ctx.q)
+        add(PAIRED[w0], a, (v, e), (w1, 1))
+        add(PAIRED[w1], ctx.neg(a), (v, e), (w0, 1))
+        if rng.random() < 0.7:
+            add(rng.randrange(3), rng.randrange(1, ctx.q), (v, e))
+    for f in range(3):
+        for _ in range(rng.randrange(1, 4)):
+            powers = (w0, rng.randrange(4)), (w1, rng.randrange(4))
+            if powers[0][1] or powers[1][1]:
+                add(f, rng.randrange(1, ctx.q), *powers)
+    return OvoidSpec(ctx, *(MPoly.from_dict(ctx, 3, t) for t in terms))
+
+
+@pytest.mark.parametrize("q", [9, 11, 13, 25, 27])
+def test_one_plane_count_equals_pair_scan(q):
+    ctx = field(q)
+    rng = random.Random(1100 + q)
+    per_coordinate = 1 if q >= 25 else 2
+    nonzero = 0
+    for v in range(3):
+        for _ in range(per_coordinate):
+            kappas = tuple(k for k in range(ctx.h) if rng.random() < 0.6) or (0,)
+            spec = cancelling_spec(ctx, rng, v, kappas)
+            assert _kappas(spec, v) == kappas
+            assert _diffroute.live_kappas(spec, v, kappas) == ()
+            want = pair_count(spec)
+            assert _pairscan.line_count(ctx, spec.value_tables(), v, ()) == want
+            nonzero += want > 0
+    assert nonzero                          # failing triples are among them
+
+
+def test_one_of_two_powers_stays_live():
+    # z*y in f3 and -z*x in f2 cancel at kappa = 0; z^3*x in f3 leaves
+    # d_x^2 at kappa = 1
+    spec = OvoidSpec.from_lines(field(9), ["y^2+x^2*y", "2*x*z+x^3", "z*y+z^3*x+y^3"])
+    assert _diffroute.line_coordinate(spec) == (2, (0, 1))
+    assert _diffroute.live_kappas(spec, 2, (0, 1)) == (1,)
+    want = pair_count(spec)
+    assert want > 0
+    for kappas in ((1,), (0, 1)):
+        assert _pairscan.line_count(spec.ctx, spec.value_tables(), 2, kappas) == want
+    scan = affine_point_scan(spec)
+    assert scan.route == "line" and scan.off_diagonal == want
+
+
+def test_one_plane_reports_identical_for_every_thread_count():
+    rng = random.Random(21)
+    failing = cancelling_spec(field(11), rng, 1, (0,))
+    # two ovoids, then a failing triple
+    for spec in (_thas_kantor(field(9)), kantor_2mod3(field(11)), failing):
+        v, kappas = _diffroute.line_coordinate(spec)
+        assert _diffroute.live_kappas(spec, v, kappas) == ()
+        reports = [verify_ovoid(spec, threads=t) for t in (1, 2, 3)]
+        scans = [affine_point_scan(spec, threads=t) for t in (1, 2, 3)]
+        assert {r.route for r in reports + scans} == {"line"}
+        assert len({(r.is_ovoid, r.witness, r.pairs_checked) for r in reports}) == 1
+        assert len({(s.total, s.off_diagonal, s.witness) for s in scans}) == 1
+        assert scans[0].off_diagonal == pair_count(spec)
+    assert scans[0].off_diagonal > 0
+
+
+@pytest.mark.parametrize("q", [8, 16])
+def test_live_powers_count_exactly_in_characteristic_two(q):
+    # the slope check composed with the count, as exact_scan runs them, on
+    # random triples with live slopes and on cancelling ones
+    ctx = field(q)
+    rng = random.Random(1500 + q)
+    live_seen = 0
+    for v in range(3):
+        for spec in (line_spec(ctx, rng, v), cancelling_spec(ctx, rng, v, (0, ctx.h - 1))):
+            live = _diffroute.live_kappas(spec, v, _kappas(spec, v))
+            assert _pairscan.line_count(ctx, spec.value_tables(), v, live) == pair_count(spec)
+            live_seen += bool(live)
+    assert live_seen
+
+
+def _add_index(ctx, a, b):
+    """Index of the coordinate-wise field sum of the triples a and b."""
+    q = ctx.q
+    return sum(ctx.v_add(a // q ** k % q, b // q ** k % q) * q ** k for k in range(3))
+
+
+def _brute_slopes(spec, v):
+    """The kappas < h for which some d and s give z -> g_d(s + z e_v) -
+    g_d(s) a nonzero coefficient at z^(p^kappa), every d, s and z taken
+    point by point from the table L[s, t] of all pair values.  The
+    coefficient of z^e, 0 < e < q - 1, in the reduced polynomial of a
+    function phi on F_q is -sum_z phi(z) z^(q - 1 - e)."""
+    ctx = spec.ctx
+    q, n = ctx.q, ctx.q ** 3
+    tables = spec.value_tables()
+    s, t = np.arange(n)[:, None], np.arange(n)[None, :]
+    pair = 0
+    for u in range(3):
+        f = tables[3 + PAIRED[u]]
+        pair = ctx.v_add(pair, ctx.v_mul(ctx.v_sub(tables[u][s], tables[u][t]),
+                                         ctx.v_sub(f[t], f[s])))
+    plus = _add_index(ctx, s, t)            # plus[s, d]: the index of s + d
+    base = pair[s, plus]
+    coeffs = [np.zeros((n, n), dtype=np.int64) for _ in range(ctx.h)]
+    for z in range(1, q):
+        shift = _add_index(ctx, np.arange(n), z * q ** v)      # s -> s + z e_v
+        phi = ctx.v_sub(pair[shift[s], shift[plus]], base)
+        for kappa, c in enumerate(coeffs):
+            c[:] = ctx.v_add(c, ctx.v_mul(phi, ctx.pow(z, q - 1 - ctx.p ** kappa)))
+    return {kappa for kappa, c in enumerate(coeffs) if c.any()}
+
+
+@pytest.mark.parametrize("q", [9, 11])
+def test_slope_check_against_brute_force_slopes(q):
+    ctx = field(q)
+    rng = random.Random(1300 + q)
+    dropped = kept = 0
+    for v in range(3):
+        kappas = tuple(k for k in range(ctx.h) if rng.random() < 0.6) or (0,)
+        for spec in (line_spec(ctx, rng, v), cancelling_spec(ctx, rng, v, kappas)):
+            kappas = _kappas(spec, v)
+            live = set(_diffroute.live_kappas(spec, v, kappas))
+            slopes = _brute_slopes(spec, v)
+            # a dropped kappa has a zero slope on every line
+            assert slopes <= live
+            if max(max(unpack_exps(key, 3)) for f in spec.polys() for key in f.terms) < q:
+                # then a kept kappa has a nonzero slope somewhere
+                assert live == slopes
+            dropped += len(set(kappas) - live)
+            kept += len(live)
+    assert dropped and kept
+
+
+def test_crossed_cofactor_with_flipped_sign_is_live():
+    for q in (9, 11):
+        # z*y in f3 (paired with x) against -z*x in f2 (paired with y)
+        cancel = OvoidSpec.from_lines(field(q), ["y^2", "-x*z+x^2", "z*y+y^3"])
+        flipped = OvoidSpec.from_lines(field(q), ["y^2", "x*z+x^2", "z*y+y^3"])
+        for spec, live in ((cancel, ()), (flipped, (0,))):
+            assert _diffroute.line_coordinate(spec) == (2, (0,))
+            assert _diffroute.live_kappas(spec, 2, (0,)) == live
+            assert _brute_slopes(spec, 2) == set(live)
+
+
+@pytest.mark.parametrize("name,make,q", [("ree-tits", ree_tits, 27),
+                                         ("thas-kantor", _thas_kantor, 9),
+                                         ("thas-kantor", _thas_kantor, 27),
+                                         ("kantor-2mod3", kantor_2mod3, 11),
+                                         ("kantor-2mod3", kantor_2mod3, 17),
+                                         ("famiglia1", _famiglia1, 11)])
+def test_families_have_no_live_slope(name, make, q):
+    spec = make(field(q))
+    v, kappas = _diffroute.line_coordinate(spec)
+    assert kappas and _diffroute.live_kappas(spec, v, kappas) == ()
+
+
+def test_exponent_cap_keeps_kappa():
+    # the cofactor x^63 of z in f3 (paired with x) is not constant in x:
+    # kappa stays live, nothing is expanded past the exponent cap, and the
+    # count on its two planes is exact
+    spec = OvoidSpec.from_lines(field(9), ["y^2", "x*y^2", "x^63*z"])
+    assert _diffroute.line_coordinate(spec) == (2, (0,))
+    assert _diffroute.live_kappas(spec, 2, (0,)) == (0,)
+    scan = affine_point_scan(spec)
+    assert scan.route == "line" and scan.off_diagonal == pair_count(spec)
+
+
+def _symbolic_live(spec, v, kappas):
+    """The kappas whose slope polynomial P_kappa, expanded in five MPoly
+    variables (d_x, d_y, d_z, then s at the two coordinates other than v),
+    is nonzero: live_kappas by its definition."""
+    ctx = spec.ctx
+    var = [MPoly.variable(ctx, 5, i) for i in range(5)]
+    at_s = [MPoly.constant(ctx, 5, 1)] * 3      # v -> 1 reads off a cofactor
+    at_sd = list(at_s)
+    for j, w in enumerate(w for w in range(3) if w != v):
+        at_s[w], at_sd[w] = var[3 + j], var[3 + j] + var[w]
+
+    def power(key):
+        e = unpack_exps(key, 3)[v]
+        return next(k for k in range(8) if ctx.p ** k == e) % ctx.h if e else None
+
+    live = []
+    for kappa in kappas:
+        slope = MPoly.zero(ctx, 5)
+        for u in range(3):
+            f = spec.polys()[PAIRED[u]]
+            part = MPoly(ctx, 3, {key: c for key, c in f.terms.items() if power(key) == kappa})
+            slope += var[u] * (part.substitute(at_sd) - part.substitute(at_s))
+        if slope:
+            live.append(kappa)
+    return tuple(live)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 11, 25])
+def test_slope_check_equals_symbolic_expansion(q):
+    # cancelling triples, each with one more term in a power of v and
+    # exponents up to 2 in the other coordinates: some of these keep the
+    # slope zero (a constant or crossed cofactor), most make it live
+    ctx = field(q)
+    rng = random.Random(1700 + q)
+    top = max(k for k in range(8) if ctx.p ** k <= MAX_EXP)
+    dropped = kept = 0
+    for _ in range(40):
+        v = rng.randrange(3)
+        spec = cancelling_spec(ctx, rng, v, tuple(k for k in range(ctx.h) if rng.random() < 0.6) or (0,))
+        exps = [rng.randrange(3), rng.randrange(3), rng.randrange(3)]
+        exps[v] = ctx.p ** rng.randrange(top + 1)
+        polys = list(spec.polys())
+        f = rng.randrange(3)
+        polys[f] = polys[f] + MPoly.from_dict(ctx, 3, {tuple(exps): rng.randrange(1, q)})
+        spec = OvoidSpec(ctx, *polys)
+        kappas = _kappas(spec, v)
+        live = _diffroute.live_kappas(spec, v, kappas)
+        assert live == _symbolic_live(spec, v, kappas)
+        dropped += len(kappas) - len(live)
+        kept += len(live)
+    assert dropped and kept
+
+
+def test_slope_check_reads_a_dense_triple_in_one_pass():
+    # every monomial x^a y^b z^c, a, b < 61, c <= 1, in all three
+    # polynomials at q = 61: the check reads their 22,326 terms once and
+    # expands none of them
+    ctx = field(61)
+    rng = random.Random(61)
+    polys = [MPoly(ctx, 3, {pack_exps((a, b, c)): rng.randrange(1, 61)
+                            for a in range(61) for b in range(61) for c in (0, 1) if a or b or c})
+             for _ in range(3)]
+    spec = OvoidSpec(ctx, *polys)
+    assert _diffroute.line_coordinate(spec) == (2, (0,))
+    t0 = time.perf_counter()
+    assert _diffroute.live_kappas(spec, 2, (0,)) == (0,)
+    assert time.perf_counter() - t0 < 5
+
+
+def test_one_plane_scan_at_27_matches_pair_scan():
+    # the slopes cancel at kappa = 0 (2*x*z in f2 and y*z in f3 give
+    # 3 d_x d_y = 0) and at kappa = 2 (a lone 2*z^9 in f3)
+    spec = OvoidSpec.from_lines(field(27), ["z", "2*x^12+x^3*y+y^9+x^2*y+2*x*z",
+                                            "2*x^21+x^9*y^9+2*z^9+x*y^2+y*z"])
+    assert _diffroute.line_coordinate(spec) == (2, (0, 2))
+    assert _diffroute.live_kappas(spec, 2, (0, 2)) == ()
+    scan = affine_point_scan(spec)
+    assert scan.route == "line" and scan.off_diagonal == pair_count(spec) == 13817466
