@@ -29,8 +29,8 @@ where each g_d is affine linearized along the lines s + z e_v and
 _pairscan.line_count counts its zeros line by line in O(q^5) pair
 values (only the kappas whose slopes do not cancel symbolically count,
 see live_kappas; with none, every g_d is constant along its lines and
-one plane of q^5 pair values suffices); and the pair scan, O(q^6), for
-every other triple.
+one plane, about q^5 / 2 pair values, suffices); and the pair scan,
+O(q^6), for every other triple.
 """
 
 from __future__ import annotations
@@ -45,13 +45,16 @@ from .errors import Unsupported
 from .ff import FieldCtx
 from .mpoly import unpack_exps
 
-# Below q = 9 the pair kernel is the faster exact counter on both routes
-# (2-vCPU VM, one thread).  Difference route: at q = 8 a pair scan takes
-# about 1.0 ms and the route 1.1-1.6 ms, at q = 16 the route takes 5-13 ms
-# against 51 ms.  Line route: at q = 8 a pair scan of kantor-simple takes
-# 0.59 ms and the route 0.67 ms (1.9 ms with its per-field tables); at
-# q = 9 they tie on thas-kantor (1.45 ms against 0.89-1.24 ms), and at
-# q = 11 kantor-2mod3 takes 2.1-2.6 ms against 5.1 ms.
+# Timings on a 2-vCPU VM, one thread, warm tables, best of 9 in each of
+# two processes.  Difference route: below q = 9 the pair kernel is the
+# faster exact counter; on kantor-simple a pair scan takes 0.43-0.58 ms at
+# q = 8 and the route 0.59-0.86 ms, at q = 16 the route takes 2.8-3.2 ms
+# against 19-21 ms.  Line route (slope check and count): kantor-simple
+# takes 0.19 ms against 0.37-0.40 ms at q = 8 (0.58 ms with its per-field
+# tables), thas-kantor 0.23-0.26 ms against 0.84-0.93 ms at q = 9, and
+# kantor-2mod3 0.45-0.50 ms against 3.0-3.2 ms at q = 11.  The line route
+# already wins at q = 8, but a lower MIN_Q would change the route that
+# reports give for q = 8 triples, so it stays.
 MIN_Q = 9
 # At q = 256 the six int64 value tables alone would take about 800 MiB.
 Q_LIMIT = 128

@@ -12,7 +12,7 @@ always the first violating pair in (i, j) order.
 
 Every term has the form (u_i - u_j)(g_j - g_i) with (u, g) one of (x, f3),
 (y, f2) and (z, f1), so for a fixed row i it depends on the column j only
-through the key u_j*q + g_j.  A block of rows therefore gets one table,
+through the key u_j*q + g_j.  A run of rows therefore gets one table,
 T[3*(a*q + b) + k, i] = enc((u_i - a)(b - g_i)) for the three terms k,
 gathered from per-field grids of v_sub and v_mul results (q^2 entries
 per row and term, 1/q of the pair work).  Column j carries the uint16 keys
@@ -36,9 +36,12 @@ per-field constants are built once per field context.
 
 Rows are scanned in blocks of about BLOCK_ELEMS pairs, the unit of early
 exit and of pairs_checked; a block is worked through in steps of about
-STEP_ELEMS pairs so its tables and intermediates stay in cache.  Blocks
-can be fanned out over a thread pool; the merge keeps block order, so
-results do not depend on the worker count.
+STEP_ELEMS pairs so its tables and intermediates stay in cache.  A
+block's row tables are built as the scan reaches them, in pieces of one
+step, then two, four, ... steps, so an early exit in the first step pays
+for one step's table and a full block for about log2(steps) gathers.
+Blocks can be fanned out over a thread pool; the merge keeps block
+order, so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -211,6 +214,16 @@ def _row_step(n: int, rows: int) -> int:
     return min(rows, 1 << max(3, (STEP_ELEMS // max(1, n)).bit_length() - 1))
 
 
+def _growing_pieces(s: int, e: int, step: int):
+    """(t, u) pieces of the rows s .. e-1 that get one row table each: the
+    first holds one step, each later one twice the rows of the one
+    before."""
+    width = step
+    while s < e:
+        yield s, min(s + width, e)
+        s, width = s + width, 2 * width
+
+
 def _fan_out(fn, starts, threads: int):
     """fn(s) for each s of starts, in order.  Several workers take one batch
     of `workers` starts at a time from a thread pool, so a caller that stops
@@ -240,22 +253,23 @@ def pair_scan(ctx: FieldCtx, tables, early_exit: bool, threads: int = 1) -> Pair
 
     def scan_block(s: int):
         e = min(s + rows_per_block, n)
-        table = _row_table(prod, left, right, us[:, s:e], gs[:, s:e])
         pairs = (e - s) * (n - 1) - (s + e - 1) * (e - s) // 2
         nz, first = 0, None
-        for a in range(s, e, step):
-            # rows a .. a+r-1 against columns a+1 .. n-1; hit[c, i] is the pair (a+i, a+1+c)
-            r = min(step, e - a)
-            hit = is_zero(_lane_sums(table[:, a - s:a - s + r], keys[:, a + 1:]))
-            hit[:r - 1] &= lower[:r - 1, :r]
-            m = int(np.count_nonzero(hit))
-            if m:
-                if first is None:
-                    i, c = divmod(int(hit.T.argmax()), n - a - 1)
-                    first = (a + i, a + 1 + c)
-                nz += m
-                if early_exit:
-                    break
+        for t, u in _growing_pieces(s, e, step):
+            table = _row_table(prod, left, right, us[:, t:u], gs[:, t:u])
+            for a in range(t, u, step):
+                # rows a .. a+r-1 against columns a+1 .. n-1; hit[c, i] is the pair (a+i, a+1+c)
+                r = min(step, u - a)
+                hit = is_zero(_lane_sums(table[:, a - t:a - t + r], keys[:, a + 1:]))
+                hit[:r - 1] &= lower[:r - 1, :r]
+                m = int(np.count_nonzero(hit))
+                if m:
+                    if first is None:
+                        i, c = divmod(int(hit.T.argmax()), n - a - 1)
+                        first = (a + i, a + 1 + c)
+                    nz += m
+                    if early_exit:
+                        return pairs, nz, first
         return pairs, nz, first
 
     # Early exit stops at the first block containing a zero; later blocks
@@ -319,6 +333,19 @@ def _line_constants(ctx: FieldCtx, kappas: Tuple[int, ...]):
     return tuple(zs), canons, counts
 
 
+@functools.lru_cache(maxsize=64)
+def _diagonal_excess(step: int, q: int):
+    """x[j, i], for row a + i of a step and column (a + j // q, j % q):
+    2 before the row's own base point, 1 on it and 0 past it, which is
+    what counting every column twice adds to the weights 0, 1 and 2 that
+    line_count gives those columns."""
+    b = np.arange(step * q)[:, None] // q
+    i = np.arange(step)
+    x = (b <= i).astype(np.uint8) + (b < i)
+    x.flags.writeable = False
+    return x
+
+
 def line_count(ctx: FieldCtx, tables, v: int, kappas: Tuple[int, ...], threads: int = 1) -> int:
     """Ordered count of off-diagonal zeros, 2 * pair_scan(...).zero_pairs,
     counted along the lines s + z e_v: on each, every slice g_d(s) =
@@ -328,12 +355,17 @@ def line_count(ctx: FieldCtx, tables, v: int, kappas: Tuple[int, ...], threads: 
     vanish identically (_diffroute.live_kappas).  So its values at z = 0,
     zs[0], ..., zs[k-1] give its zero count (see _line_constants).
 
-    Plane j holds the triples whose coordinate v is the j-th of 0, zs[0],
-    ...; it gets the kernel's row tables, and its column keys are shifted
-    by the same zs[j-1] e_v, so cell (m, t) of every plane is a value of
-    g_(t - m) on the line through base row m.  With no kappas every slice
-    is constant along its lines: the plane v = 0 alone, q^5 pair values
-    under the kernel's zero test, gives q zeros per zero cell (the test
+    Cell (a, (b, c)), for a and b in the plane v = 0 and c in F_q, stands
+    for the line through a with difference b + c e_v - a.  Plane j holds
+    the rows a + zs[j-1] e_v and the columns b + (c + zs[j-1]) e_v, so a
+    cell of every plane is a value on the same line.  The shift by -c e_v
+    and L(s, t) = L(t, s) map the line of (a, (b, c)) onto that of
+    (b, (a, -c)), so both have the same zero count: row a meets only the
+    columns with b >= a, counted twice for b > a and once for b = a,
+    about half of the (k + 1) q^5 pair values.  The columns are laid out
+    b-major, so those of a step of rows are a suffix.  With no kappas
+    every slice is constant along its lines: the plane v = 0 alone goes
+    under the kernel's zero test, with q zeros per zero cell (the test
     takes half the time of the canon and count lookups on that plane,
     2-vCPU VM, q = 27 and 47).  Results are sums of integers, the same
     for every thread count."""
@@ -342,32 +374,41 @@ def line_count(ctx: FieldCtx, tables, v: int, kappas: Tuple[int, ...], threads: 
     zs, canons, counts = _line_constants(ctx, kappas) if kappas else ((), None, None)
     us, gs, keys = _scan_inputs(mix, tables)
     n = keys.shape[1]
-    coord = us[v]
     m = q * q                               # rows per plane
+    base = np.flatnonzero(us[v] == 0)       # the plane v = 0, in scan order
+    ar = np.arange(q)
     step = _row_step(n, m)
-    cols = max(1, STEP_ELEMS // step)       # columns per piece of a step
-    rows, pieces = [], []
+    width = max(STEP_ELEMS // step, step * q)   # columns per piece of a step
+    excess = _diagonal_excess(step, q)
+    rows, cols = [], []
     for z in (0,) + zs:
-        plane = np.flatnonzero(coord == z)
-        shifted = keys[:, np.arange(n) + (ctx.v_add(coord, z) - coord) * q ** v]
+        plane = base + z * q ** v
         rows.append((us[:, plane], gs[:, plane]))
-        pieces.append([np.ascontiguousarray(shifted[:, c:c + cols]) for c in range(0, n, cols)])
+        cols.append(keys[:, (base[:, None] + ctx.v_add(ar, z) * q ** v).ravel()])
+
+    def line_zeros(row_tables, c0: int, c1: int):
+        """Zero counts of the lines of the step's cells against columns
+        c0 .. c1-1 (boolean on one plane: q zeros per true cell)."""
+        sums = _lane_sums(row_tables[0], cols[0][:, c0:c1])
+        if not zs:
+            return is_zero(sums)
+        idx = canons[0].take(sums)
+        for canon, table, keys_j in zip(canons[1:], row_tables[1:], cols[1:]):
+            idx += canon.take(_lane_sums(table, keys_j[:, c0:c1]))
+        return counts.take(idx)
 
     def count_rows(a: int) -> int:
-        row_tables = [_row_table(prod, left, right, u[:, a:a + step], g[:, a:a + step])
+        r = min(step, m - a)
+        row_tables = [_row_table(prod, left, right, u[:, a:a + r], g[:, a:a + r])
                       for u, g in rows]
         total = 0
-        for c in range(len(pieces[0])):
-            sums = _lane_sums(row_tables[0], pieces[0][c])
-            if not zs:                      # q zeros on a line through a zero cell
-                total += q * int(np.count_nonzero(is_zero(sums)))
-                continue
-            idx = canons[0].take(sums)
-            for canon, table, keys_j in zip(canons[1:], row_tables[1:], pieces[1:]):
-                idx += canon.take(_lane_sums(table, keys_j[c]))
-            total += int(counts.take(idx).sum())
+        for c0 in range(a * q, n, width):
+            cells = line_zeros(row_tables, c0, min(c0 + width, n))
+            if c0 == a * q:                 # the first r*q columns have a <= b < a + r
+                total -= int((cells[:r * q] * excess[:r * q, :r]).sum())
+            total += 2 * int(cells.sum() if zs else np.count_nonzero(cells))
         return total
 
     total = sum(_fan_out(count_rows, range(0, m, step), threads))
     # the lines of the zero difference are the q^3 diagonal zeros
-    return total - n
+    return (1 if zs else q) * total - n

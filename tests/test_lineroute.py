@@ -509,3 +509,48 @@ def test_one_plane_scan_at_27_matches_pair_scan():
     assert _diffroute.live_kappas(spec, 2, (0, 2)) == ()
     scan = affine_point_scan(spec)
     assert scan.route == "line" and scan.off_diagonal == pair_count(spec) == 13817466
+
+
+@pytest.mark.parametrize("q", [16, 32])
+def test_half_of_the_cells_in_characteristic_two(q):
+    # cell (a, (b, c)) has the zero count of cell (b, (a, -c)); in
+    # characteristic 2 -c = c, so every cell (a, (a, c)) is its own
+    # partner and is counted once, every b > a twice
+    ctx = field(q)
+    rng = random.Random(2200 + q)
+    nonzero = 0
+    for v in range(3):
+        kappas = tuple(k for k in range(ctx.h) if rng.random() < 0.5) or (0,)
+        spec = cancelling_spec(ctx, rng, v, kappas)
+        assert _diffroute.live_kappas(spec, v, kappas) == ()
+        want = pair_count(spec)
+        assert _pairscan.line_count(ctx, spec.value_tables(), v, ()) == want
+        nonzero += want > 0
+    assert nonzero                          # failing triples are among them
+
+
+def _with_live(ctx, rng, v, live):
+    """A random line triple in coordinate v with exactly `live` live
+    Frobenius powers, and those powers."""
+    for _ in range(200):
+        spec = line_spec(ctx, rng, v)
+        kappas = _diffroute.live_kappas(spec, v, _kappas(spec, v))
+        if len(kappas) == live:
+            return spec, kappas
+    raise AssertionError(f"no triple with {live} live powers")
+
+
+@pytest.mark.parametrize("q", [9, 25])
+@pytest.mark.parametrize("live", [1, 2])
+def test_half_of_the_cells_with_live_slopes(q, live):
+    # the partner cell lies on a line of the same zero count on every
+    # plane, so the halving holds with k + 1 planes too
+    ctx = field(q)
+    rng = random.Random(2300 + 10 * q + live)
+    for v in range(3):
+        spec, kappas = _with_live(ctx, rng, v, live)
+        want = pair_count(spec)
+        assert want > 0
+        for threads in (1, 2, 3):
+            got = _pairscan.line_count(ctx, spec.value_tables(), v, kappas, threads=threads)
+            assert got == want

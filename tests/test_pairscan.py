@@ -141,6 +141,66 @@ def test_early_exit_past_first_block_q16(threads):
     assert early.pairs_checked == pairs_before(4096, 1536) == 5111040
 
 
+def _failing_13():
+    """A triple at q = 13 whose first zero pair, (0, 13), lies in the
+    first 8-row step of the first of three 954-row blocks."""
+    return OvoidSpec.from_lines(make_field(13, 1), ["x^2+y*z", "x*y+z^2", "y^3+x"])
+
+
+# (early exit's first_zero and pairs_checked, the full scan's zero_pairs),
+# recorded when every block built its whole row table at once.  At q = 16
+# a block holds 512 rows in steps of 8; a planted pair (i, j) is the only
+# zero, with row i in the first step, in later steps of the first block
+# (among them its last, partial row table) and in the third block.
+PINNED_SCANS = [
+    ("q13", None, ((0, 13), 1640403, 184548)),
+    ("ks16", (3, 7), ((3, 7), 1965824, 1)),
+    ("ks16", (100, 2000), ((100, 2000), 1965824, 1)),
+    ("ks16", (509, 3000), ((509, 3000), 1965824, 1)),
+    ("ks16", (1100, 2000), ((1100, 2000), 5111040, 1)),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("name,planted,want", PINNED_SCANS)
+def test_witness_and_pairs_checked_are_pinned(name, planted, want, threads):
+    if name == "q13":
+        spec = _failing_13()
+        tables = spec.value_tables()
+    else:
+        spec = kantor_simple(make_field(2, 4))
+        tables = _with_planted_pair(spec, *planted)
+    n = spec.ctx.q ** 3
+    early = _pairscan.pair_scan(spec.ctx, tables, early_exit=True, threads=threads)
+    full = _pairscan.pair_scan(spec.ctx, tables, early_exit=False, threads=threads)
+    assert (early.first_zero, early.pairs_checked, full.zero_pairs) == want
+    assert early.zero_pairs is None
+    assert (full.first_zero, full.pairs_checked) == (want[0], n * (n - 1) // 2)
+
+
+def test_early_exit_in_first_step_builds_one_steps_row_table(monkeypatch):
+    # the zero pair (0, 13) lies in the first step of a 954-row block: the
+    # scan builds row tables for those 8 rows and no more
+    spec = _failing_13()
+    tables = spec.value_tables()
+    built = []
+    row_table = _pairscan._row_table
+
+    def spy(prod, left, right, us, gs):
+        built.append(us.shape[1])
+        return row_table(prod, left, right, us, gs)
+
+    monkeypatch.setattr(_pairscan, "_row_table", spy)
+    early = _pairscan.pair_scan(spec.ctx, tables, early_exit=True)
+    assert early.first_zero == (0, 13)
+    assert built == [8] == [_pairscan._row_step(13 ** 3, 954)]
+    # a full scan builds every row's table once, in pieces that double
+    built.clear()
+    _pairscan.pair_scan(spec.ctx, tables, early_exit=False)
+    assert sum(built) == 13 ** 3
+    assert built[:7] == [8, 16, 32, 64, 128, 256, 450]
+
+
 def test_one_block_scan_makes_no_pool(monkeypatch):
     # q = 4: 64 triples fit in one block, so threads=4 runs without a pool
     spec = kantor_simple(make_field(2, 2))
