@@ -59,7 +59,7 @@ MIN_Q = 9
 # At q = 256 the six int64 value tables alone would take about 800 MiB.
 Q_LIMIT = 128
 CHUNK = 1 << 14          # differences reduced together
-# The line route's count table has q^(k+1) entries for k Frobenius powers;
+# The line route's count table has q^(k+1) entries for k live Frobenius powers;
 # at q = 16, k = 4 building it took 0.15 s, five times the pair scan.
 LINE_TABLE_LIMIT = 1 << 18
 
@@ -93,9 +93,10 @@ def _frobenius_power(p: int, e: int) -> Optional[int]:
 def line_coordinate(spec) -> Optional[Tuple[int, Tuple[int, ...]]]:
     """(v, kappas) for the line route: a coordinate v that occurs in every
     monomial of f1, f2, f3 with exponent 0 or p^kappa, and the sorted set
-    of those kappa mod h, whose count table of q^(k+1) entries fits
-    LINE_TABLE_LIMIT.  Of several, the one with the fewest kappas, then the
-    first of x, y, z; None if there is none."""
+    of those kappa mod h, whose count table of q^(k+1) entries for the k
+    live ones (live_kappas) fits LINE_TABLE_LIMIT.  Of several, the one
+    with the fewest live kappas, then the fewest kappas, then the first of
+    x, y, z; None if there is none."""
     ctx = spec.ctx
     found = []
     for v in range(3):
@@ -104,9 +105,10 @@ def line_coordinate(spec) -> Optional[Tuple[int, Tuple[int, ...]]]:
         if None in powers:
             continue
         kappas = tuple(sorted({kappa % ctx.h for kappa in powers}))
-        if ctx.q ** (len(kappas) + 1) <= LINE_TABLE_LIMIT:
-            found.append((v, kappas))
-    return min(found, key=lambda c: len(c[1]), default=None)
+        live = len(live_kappas(spec, v, kappas))
+        if ctx.q ** (live + 1) <= LINE_TABLE_LIMIT:
+            found.append((live, len(kappas), v, kappas))
+    return min(found)[2:] if found else None
 
 
 def live_kappas(spec, v: int, kappas: Tuple[int, ...]) -> Tuple[int, ...]:

@@ -31,8 +31,9 @@ _even_zero and _ternary_zero).  For p >= 5 it is a lookup in a boolean
 table over the 2^(s*h) possible sums (at most 4096 for q <= 64), which
 widens each sum to an index and gathers: about twice the time of the
 three term lookups together.  The same encoding serves every field, and
-the search's origin-row prefilter uses the same zero test.  These
-per-field constants are built once per field context.
+the search's prefilter reads two rows of the pair table, those of the
+points 0 and 1, off the same grids and tests them with the same zero
+test.  These per-field constants are built once per field context.
 
 Rows are scanned in blocks of about BLOCK_ELEMS pairs, the unit of early
 exit and of pairs_checked; a block is worked through in steps of about

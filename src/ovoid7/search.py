@@ -185,10 +185,14 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
     evaluated once, in chunks of at most CHUNK_ELEMS table entries, and
     deduplicated (at q = 2, x^2 = x folds the 512 blocks of a component to
     64 tables).  Every triple of distinct tables then passes an exact
-    origin-row prefilter, x f3 + y f2 + z f1 != 0 off the origin, computed
-    as a sum of the pair kernel's lane encodings and its zero test per
-    point; survivors get an early-exit pair scan.  The blocks of each
-    passing triple expand to candidate indices, returned in increasing order.
+    prefilter on two rows of the pair table: the origin against every other
+    point (x f3 + y f2 + z f1 != 0), then, for the survivors only, the point
+    (1, 0, 0) against the points past it.  A row is a sum over the
+    components of the pair kernel's lane encodings, one code per column,
+    and is tested with the kernel's zero test.  Survivors of both rows get
+    an early-exit pair scan (at q = 2, 64 of the 2,048 that pass the origin
+    row, 8 of them ovoid table triples).  The blocks of each passing triple
+    expand to candidate indices, returned in increasing order.
     """
     count = cfg.candidate_count()
     if count > cfg.budget:
@@ -198,7 +202,8 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
     q = ctx.q
     monos, fixed = cfg._monos, cfg._fixed
     n = len(monos)
-    prod, is_zero = _pairscan._constants(ctx)[:2]
+    consts = _pairscan._constants(ctx)
+    is_zero = consts[1]
 
     # value tables of each monomial on the q^3 grid, in scan order
     xs, ys, zs = _pairscan.coordinate_arrays(q)
@@ -222,13 +227,13 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
     current: List[Optional[tuple]] = [None] * 3
 
     def part(c: int, chunk: int):
-        """(tables, origin-row codes, first block, block -> table row) of a
-        chunk; each component keeps its current chunk."""
+        """(tables, codes of pair-table rows 0 and 1, first block, block ->
+        table row) of a chunk; each component keeps its current chunk."""
         if current[c] is None or current[c][0] != chunk:
             coeffs, free, low = comps[c]
             tabs, inv = _chunk_tables(ctx, mono_vals, coeffs, free, low, chunk)
             u = (zs, ys, xs)[c]                   # f1 pairs with z, f2 with y, f3 with x
-            codes = prod[u[None, 1:] * q + tabs[:, 1:]]
+            codes = [_row_codes(consts, u, tabs, i) for i in (0, 1)]
             current[c] = (chunk, (tabs, codes, chunk * q ** low, inv))
         return current[c][1]
 
@@ -239,10 +244,11 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
         step = max(1, STEP_ELEMS // (len(t3) * (npts - 1)))
         for lo in range(0, len(t1) * len(t2), step):
             a, b = np.divmod(np.arange(lo, min(lo + step, len(t1) * len(t2))), len(t2))
-            sums = (e1[a] + e2[b])[:, None, :] + e3[None]
-            alive = ~is_zero(sums).any(axis=2)
-            for r, c in zip(*np.nonzero(alive)):
-                rows = (a[r], b[r], c)
+            sums = (e1[0][a] + e2[0][b])[:, None, :] + e3[0][None]
+            r, c = np.nonzero(~is_zero(sums).any(axis=2))
+            a, b = a[r], b[r]
+            alive = ~is_zero(e1[1][a] + e2[1][b] + e3[1][c]).any(axis=1)
+            for rows in zip(a[alive], b[alive], c[alive]):
                 tables = (xs, ys, zs) + tuple(tabs[i] for (tabs, _, _, _), i in zip(parts, rows))
                 if _pairscan.pair_scan(ctx, tables, early_exit=True).first_zero is None:
                     k1, k2, k3 = (first + np.flatnonzero(inv == i)
@@ -252,6 +258,15 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
     found = np.sort(np.concatenate(found)).tolist() if found else []
     return SearchResult(candidates_tested=count, found_indices=found,
                         config=cfg, elapsed=time.perf_counter() - t0)
+
+
+def _row_codes(consts, u, tabs, i: int):
+    """codes[t, j - i - 1] = enc((u_i - u_j)(g_j - g_i)) for each value table
+    g = tabs[t] and every point j > i: one component's term of row i of the
+    pair table, read off the pair kernel's grids as _pairscan._row_table
+    reads them."""
+    prod, _, left, right, _ = consts
+    return prod[left[u[None, i + 1:], u[i]] + right[tabs[:, i + 1:], tabs[:, i:i + 1]]]
 
 
 def _chunk_tables(ctx: FieldCtx, mono_vals, coeffs, free, low: int, chunk: int):

@@ -246,6 +246,31 @@ def test_table_limit_rules_out_large_tables(monkeypatch):
     assert _diffroute.choose_route(spec) == "line"
 
 
+def test_table_limit_counts_only_live_powers():
+    # x occurs with three Frobenius powers of F_32, a 32^4 entry table, but
+    # every slope cancels: the one-plane count needs no table at all
+    ctx = field(32)
+    spec = cancelling_spec(ctx, random.Random(2232), 0, (1, 2, 3))
+    assert 32 ** 4 > _diffroute.LINE_TABLE_LIMIT
+    assert _diffroute.live_kappas(spec, 0, (1, 2, 3)) == ()
+    assert _diffroute.line_coordinate(spec) == (0, (1, 2, 3))
+    assert _diffroute.choose_route(spec) == "line"
+    scan = affine_point_scan(spec)
+    assert scan.route == "line" and scan.off_diagonal == pair_count(spec)
+
+
+def test_fewest_live_powers_win():
+    # x occurs only as x, with a live slope; z occurs as z and z^3, and both
+    # slopes cancel (z*y and z^3*y in f3 against 2*z*x and 2*z^3*x in f2);
+    # x*y^2 has p-weight 3, so the difference route does not take the triple
+    spec = OvoidSpec.from_lines(field(9), ["y^2+x*y^2", "2*z*x+2*z^3*x", "z*y+z^3*y"])
+    assert _diffroute.live_kappas(spec, 0, (0,)) == (0,)
+    assert _diffroute.live_kappas(spec, 2, (0, 1)) == ()
+    assert _diffroute.line_coordinate(spec) == (2, (0, 1))
+    scan = affine_point_scan(spec)
+    assert scan.route == "line" and scan.off_diagonal == pair_count(spec)
+
+
 # coordinate u of L(s, t) = sum (u_s - u_t)(g_t - g_s) is paired with
 # g = (f1, f2, f3)[PAIRED[u]]: x with f3, y with f2, z with f1
 PAIRED = (2, 1, 0)

@@ -127,6 +127,46 @@ def test_q2_hits_are_pinned(restriction, hits, digest):
                                            for i in res.found_indices[:1000]]
 
 
+@pytest.mark.parametrize("restriction", ["full", "homogeneous-top"])
+def test_two_row_prefilter_leaves_64_pair_scans_at_q2(restriction):
+    # 2,048 triples of distinct tables pass the origin row; the row of
+    # (1, 0, 0) leaves 64, and 8 of those are ovoids
+    cfg = SearchConfig(make_field(2, 1), max_degree=2, restriction=restriction)
+    with mock.patch.object(search._pairscan, "pair_scan",
+                           wraps=search._pairscan.pair_scan) as spy:
+        exhaustive_triple_search(cfg)
+    assert spy.call_count == 64
+    passing = [c for c in spy.call_args_list
+               if search._pairscan.pair_scan(*c.args, **c.kwargs).first_zero is None]
+    assert len(passing) == 8
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_row_codes_match_the_pair_value(q):
+    """The lane sum of the three components' row codes is a zero sum
+    exactly where L(i, j) = 0, for the rows i = 0, 1 that the prefilter
+    reads, on random tables (nonzero at the origin too)."""
+    ctx = make_field(*{4: (2, 2)}.get(q, (q, 1)))
+    consts = search._pairscan._constants(ctx)
+    rng = np.random.default_rng(q)
+    coords = search._pairscan.coordinate_arrays(q)
+    gs = rng.integers(0, q, size=(3, 4, q ** 3))          # f1, f2, f3: four tables each
+    for i in (0, 1):
+        codes = [search._row_codes(consts, u, g, i) for u, g in zip(coords[::-1], gs)]
+        sums = codes[0][:, None, None] + codes[1][None, :, None] + codes[2][None, None]
+        hit = consts[1](sums)
+        want = np.zeros_like(hit)
+        for t in itertools.product(range(4), repeat=3):
+            f1, f2, f3 = (g[k] for g, k in zip(gs, t))
+            for j in range(i + 1, q ** 3):
+                total = 0
+                for u, g in zip(coords, (f3, f2, f1)):
+                    total = ctx.add(total, ctx.mul(ctx.sub(int(u[i]), int(u[j])),
+                                                   ctx.sub(int(g[j]), int(g[i]))))
+                want[t + (j - i - 1,)] = total == 0
+        assert (hit == want).all()
+
+
 @pytest.mark.parametrize("p,h,max_degree,restriction", [
     (2, 1, 2, "full"), (2, 2, 3, "full"), (3, 1, 3, "homogeneous-top"),
     (5, 1, 2, {"f2": {"x": 4, "y*z": "free"}, "f3": {"x^2": 3}}),
@@ -171,13 +211,13 @@ def test_search_matches_brute_force(spread, data):
     """Random masks with free positions in `spread` of the three components
     (the others fully pinned), at most about 2^10 candidates, under the
     default chunking and under chunks of one or a few blocks."""
-    p, h = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]), label="field")
+    p, h = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]), label="field")
     ctx = make_field(p, h)
     q = ctx.q
     degree = data.draw(st.sampled_from([2, 3]), label="max_degree") if q == 2 else 2
     monos = triple_monomials(degree)
     n = len(monos)
-    max_free = {2: 10, 3: 6, 4: 5}[q]
+    max_free = {2: 10, 3: 6, 4: 5, 5: 4}[q]
     comps = data.draw(st.sampled_from(list(itertools.combinations(range(3), spread))),
                       label="components")
     free = set()
