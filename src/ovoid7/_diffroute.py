@@ -97,6 +97,13 @@ def line_coordinate(spec) -> Optional[Tuple[int, Tuple[int, ...]]]:
     live ones (live_kappas) fits LINE_TABLE_LIMIT.  Of several, the one
     with the fewest live kappas, then the fewest kappas, then the first of
     x, y, z; None if there is none."""
+    pick = _line_pick(spec)
+    return pick[:2] if pick else None
+
+
+def _line_pick(spec):
+    """(v, kappas, live kappas) of line_coordinate's pick, or None; the
+    slopes of each candidate coordinate are checked once."""
     ctx = spec.ctx
     found = []
     for v in range(3):
@@ -105,9 +112,9 @@ def line_coordinate(spec) -> Optional[Tuple[int, Tuple[int, ...]]]:
         if None in powers:
             continue
         kappas = tuple(sorted({kappa % ctx.h for kappa in powers}))
-        live = len(live_kappas(spec, v, kappas))
-        if ctx.q ** (live + 1) <= LINE_TABLE_LIMIT:
-            found.append((live, len(kappas), v, kappas))
+        live = live_kappas(spec, v, kappas)
+        if ctx.q ** (len(live) + 1) <= LINE_TABLE_LIMIT:
+            found.append((len(live), len(kappas), v, kappas, live))
     return min(found)[2:] if found else None
 
 
@@ -156,18 +163,24 @@ def live_kappas(spec, v: int, kappas: Tuple[int, ...]) -> Tuple[int, ...]:
 def choose_route(spec) -> str:
     """"difference", "line" or "pair-scan" for this triple, the first of
     them that takes it, or Unsupported when its route does not reach q."""
+    return _route(spec)[0]
+
+
+def _route(spec):
+    """(choose_route(spec), (v, live kappas) of the line route or None)."""
     q = spec.ctx.q
     if q >= MIN_Q and eligible(spec):
         if q > Q_LIMIT:
             raise Unsupported(f"the difference route supports q <= {Q_LIMIT}")
-        return "difference"
+        return "difference", None
     if q > _pairscan.Q_LIMIT:
         raise Unsupported(f"the pair-scan route supports q <= {_pairscan.Q_LIMIT}; "
                           f"the difference route (q <= {Q_LIMIT}) needs every monomial "
                           "of p-weight <= 2")
-    if q >= MIN_Q and line_coordinate(spec) is not None:
-        return "line"
-    return "pair-scan"
+    pick = _line_pick(spec) if q >= MIN_Q else None
+    if pick is not None:
+        return "line", (pick[0], pick[2])
+    return "pair-scan", None
 
 
 @functools.lru_cache(maxsize=16)
@@ -252,7 +265,7 @@ def exact_scan(spec, early_exit: bool, threads: int = 1):
     the pair scan's first zero pair, and from first_zero above it (the
     difference route only: the line route stops at the pair route's
     limit)."""
-    route = choose_route(spec)
+    route, line = _route(spec)
     ctx = spec.ctx
     tables = spec.value_tables()
     if route == "pair-scan":
@@ -265,9 +278,7 @@ def exact_scan(spec, early_exit: bool, threads: int = 1):
             return route, _pairscan.pair_scan(ctx, tables, early_exit=True, threads=threads)
     if route == "line":
         counts = None
-        v, kappas = line_coordinate(spec)
-        total = _pairscan.line_count(ctx, tables, v, live_kappas(spec, v, kappas),
-                                     threads=threads)
+        total = _pairscan.line_count(ctx, tables, *line, threads=threads)
     else:
         counts = zero_counts(ctx, tables)
         total = int(counts.sum())

@@ -9,6 +9,7 @@ is re-derivable from its candidate index.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from dataclasses import dataclass
@@ -114,9 +115,32 @@ class SearchConfig:
         texts: the monomials are already in MPoly's render order."""
         n = len(self._monos)
         vec = self.vector(candidate_index)
-        return ["+".join(t if c == 1 else f"{c}*{t}"
-                         for t, c in zip(self._mono_text, vec[i * n:(i + 1) * n]) if c) or "0"
-                for i in range(3)]
+        return [self._block_text(vec[i * n:(i + 1) * n]) for i in range(3)]
+
+    def batch_spec_lines(self, indices: List[int]) -> List[List[str]]:
+        """[self.spec_lines(i) for i in indices] in one pass: each index
+        splits into its three components' block numbers, and each distinct
+        block gets its base-q digits (one array division per free position) and is
+        joined into text once."""
+        q, n = self.ctx.q, len(self._monos)
+        # Python ints where an index may not fit int64 (no search gets there)
+        k = np.array(indices, dtype=np.int64 if self.candidate_count() <= 1 << 63 else object)
+        texts = []
+        for c in reversed(range(3)):
+            free = [pos - c * n for pos in self._free if pos // n == c]
+            k, block = k // q ** len(free), k % q ** len(free)
+            blocks, inv = np.unique(block, return_inverse=True)
+            vecs = np.tile([self._fixed.get(c * n + j, 0) for j in range(n)], (len(blocks), 1))
+            for j in reversed(free):        # last free position varies fastest
+                blocks, vecs[:, j] = blocks // q, blocks % q
+            lines = [self._block_text(v) for v in vecs.tolist()]
+            texts.insert(0, [lines[b] for b in inv.tolist()])
+        return [list(spec) for spec in zip(*texts)]
+
+    def _block_text(self, coeffs) -> str:
+        """One component's polynomial from its coefficient block."""
+        return "+".join(t if c == 1 else f"{c}*{t}"
+                        for t, c in zip(self._mono_text, coeffs) if c) or "0"
 
 
 @dataclass
@@ -131,7 +155,7 @@ class SearchResult:
         return {
             "candidates_tested": self.candidates_tested,
             "ovoids_found": len(self.found_indices),
-            "specs": [self.config.spec_lines(i) for i in listed],
+            "specs": self.config.batch_spec_lines(listed),
             "candidate_indices": [int(i) for i in self.found_indices],
             "truncated": len(self.found_indices) > max_listed,
             "elapsed_ms": round(self.elapsed * 1000.0, 3),
@@ -165,9 +189,8 @@ def index_of_spec(cfg: SearchConfig, spec: OvoidSpec) -> Optional[int]:
     return idx
 
 
-# Table entries in one chunk of a component's blocks, and prefilter sums in
-# one step (a zero-table lookup, for p >= 5, widens each 2-byte sum to an
-# 8-byte index).
+# Table entries in one chunk of a component's blocks, and bitset words
+# gathered by the prefilter in one step.
 CHUNK_ELEMS = 1 << 22
 STEP_ELEMS = 1 << 18
 
@@ -187,12 +210,19 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
     64 tables).  Every triple of distinct tables then passes an exact
     prefilter on two rows of the pair table: the origin against every other
     point (x f3 + y f2 + z f1 != 0), then, for the survivors only, the point
-    (1, 0, 0) against the points past it.  A row is a sum over the
-    components of the pair kernel's lane encodings, one code per column,
-    and is tested with the kernel's zero test.  Survivors of both rows get
-    an early-exit pair scan (at q = 2, 64 of the 2,048 that pass the origin
-    row, 8 of them ovoid table triples).  The blocks of each passing triple
-    expand to candidate indices, returned in increasing order.
+    (1, 0, 0) against the points past it.  Each component contributes one
+    field value per column of a row, V[t, j] = (u_i - u_j)(g_t[j] - g_t[i]).
+
+    The origin row is tested bit-parallel.  Of the current chunk triple,
+    the component k with the most tables (the last on a tie) is packed into
+    uint64 words: bits[j, v] holds the tables of k whose value at column j
+    is v.  For each pair (a, b) of tables of the other two components, one
+    gather of bits[j, -(V[a, j] + V[b, j])] and an OR over the columns give
+    the tables of k that the pair rejects, 64 per word.  Survivors of both
+    rows get an early-exit pair scan (at q = 2, 64 of the 2,048 that pass
+    the origin row, 8 of them ovoid table triples).  The blocks of each
+    passing triple expand to candidate indices, returned in increasing
+    order.
     """
     count = cfg.candidate_count()
     if count > cfg.budget:
@@ -202,8 +232,6 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
     q = ctx.q
     monos, fixed = cfg._monos, cfg._fixed
     n = len(monos)
-    consts = _pairscan._constants(ctx)
-    is_zero = consts[1]
 
     # value tables of each monomial on the q^3 grid, in scan order
     xs, ys, zs = _pairscan.coordinate_arrays(q)
@@ -212,6 +240,7 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
         for m in monos
     ])                                                    # (n, q^3)
     npts = q ** 3
+    us = (zs, ys, xs)                                     # f1 pairs with z, f2 with y, f3 with x
 
     # per component: pinned coefficients, free monomials, and how many of
     # the last free positions one chunk enumerates (q^low blocks)
@@ -224,35 +253,37 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
             low += 1
         comps.append((coeffs, free, low))
     sizes = [q ** len(free) for _, free, _ in comps]
-    current: List[Optional[tuple]] = [None] * 3
+    current: List[Optional[_Chunk]] = [None] * 3
 
-    def part(c: int, chunk: int):
-        """(tables, codes of pair-table rows 0 and 1, first block, block ->
-        table row) of a chunk; each component keeps its current chunk."""
-        if current[c] is None or current[c][0] != chunk:
+    def part(c: int, chunk: int) -> _Chunk:
+        """Component c's current chunk, rebuilt when the chunk changes."""
+        if current[c] is None or current[c].chunk != chunk:
             coeffs, free, low = comps[c]
             tabs, inv = _chunk_tables(ctx, mono_vals, coeffs, free, low, chunk)
-            u = (zs, ys, xs)[c]                   # f1 pairs with z, f2 with y, f3 with x
-            codes = [_row_codes(consts, u, tabs, i) for i in (0, 1)]
-            current[c] = (chunk, (tabs, codes, chunk * q ** low, inv))
-        return current[c][1]
+            current[c] = _Chunk(chunk, tabs, _row_values(ctx, us[c], tabs, 0), chunk * q ** low, inv)
+        return current[c]
 
     found = []
     for chunks in itertools.product(*(range(q ** (len(free) - low)) for _, free, low in comps)):
         parts = [part(c, ch) for c, ch in enumerate(chunks)]
-        (t1, e1, _, _), (t2, e2, _, _), (t3, e3, _, _) = parts
-        step = max(1, STEP_ELEMS // (len(t3) * (npts - 1)))
-        for lo in range(0, len(t1) * len(t2), step):
-            a, b = np.divmod(np.arange(lo, min(lo + step, len(t1) * len(t2))), len(t2))
-            sums = (e1[0][a] + e2[0][b])[:, None, :] + e3[0][None]
-            r, c = np.nonzero(~is_zero(sums).any(axis=2))
-            a, b = a[r], b[r]
-            alive = ~is_zero(e1[1][a] + e2[1][b] + e3[1][c]).any(axis=1)
-            for rows in zip(a[alive], b[alive], c[alive]):
-                tables = (xs, ys, zs) + tuple(tabs[i] for (tabs, _, _, _), i in zip(parts, rows))
+        k = max(range(3), key=lambda c: (len(parts[c].tabs), c))
+        i, j = (c for c in range(3) if c != k)
+        if parts[k].bits is None:
+            parts[k].bits = _origin_bits(q, parts[k].row0)
+        vi, vj = parts[i].row0, parts[j].row0
+        step = max(1, STEP_ELEMS // ((npts - 1) * parts[k].bits.shape[1]))
+        for lo in range(0, len(vi) * len(vj), step):
+            a, b = np.divmod(np.arange(lo, min(lo + step, len(vi) * len(vj))), len(vj))
+            r, t = _origin_survivors(ctx, parts[k].bits, vi[a], vj[b])
+            rows = [None] * 3
+            rows[i], rows[j], rows[k] = a[r], b[r], t
+            row1 = functools.reduce(ctx.v_add, (_row_values(ctx, u, p.tabs[rr], 1)
+                                                for u, p, rr in zip(us, parts, rows)))
+            for triple in zip(*(rr[row1.all(axis=1)] for rr in rows)):
+                tables = (xs, ys, zs) + tuple(p.tabs[row] for p, row in zip(parts, triple))
                 if _pairscan.pair_scan(ctx, tables, early_exit=True).first_zero is None:
-                    k1, k2, k3 = (first + np.flatnonzero(inv == i)
-                                  for (_, _, first, inv), i in zip(parts, rows))
+                    k1, k2, k3 = (p.first + np.flatnonzero(p.inv == row)
+                                  for p, row in zip(parts, triple))
                     found.append(((k1[:, None, None] * sizes[1] + k2[:, None]) * sizes[2]
                                   + k3).ravel())
     found = np.sort(np.concatenate(found)).tolist() if found else []
@@ -260,13 +291,51 @@ def exhaustive_triple_search(cfg: SearchConfig) -> SearchResult:
                         config=cfg, elapsed=time.perf_counter() - t0)
 
 
-def _row_codes(consts, u, tabs, i: int):
-    """codes[t, j - i - 1] = enc((u_i - u_j)(g_j - g_i)) for each value table
+@dataclass(eq=False)
+class _Chunk:
+    """One chunk of a component's blocks: its distinct value tables, their
+    origin-row values (_row_values), its first block, the table of each
+    block, and the origin row's bits (_origin_bits), built when the search
+    first packs this component."""
+    chunk: int
+    tabs: np.ndarray
+    row0: np.ndarray
+    first: int
+    inv: np.ndarray
+    bits: Optional[np.ndarray] = None
+
+
+def _row_values(ctx: FieldCtx, u, tabs, i: int):
+    """vals[t, j - i - 1] = (u_i - u_j)(g_j - g_i) for each value table
     g = tabs[t] and every point j > i: one component's term of row i of the
-    pair table, read off the pair kernel's grids as _pairscan._row_table
-    reads them."""
-    prod, _, left, right, _ = consts
-    return prod[left[u[None, i + 1:], u[i]] + right[tabs[:, i + 1:], tabs[:, i:i + 1]]]
+    pair table."""
+    return ctx.v_mul(ctx.v_sub(u[i], u[None, i + 1:]), ctx.v_sub(tabs[:, i + 1:], tabs[:, i:i + 1]))
+
+
+def _origin_bits(q: int, vals):
+    """bits[j*q + v, w]: bit b of word w is set iff table 64*w + b has the
+    value v at column j of vals (one component's origin row).  The padding
+    bits of the last word are set for every value of column 0, so no
+    padding table survives."""
+    tables, width = vals.shape
+    padded = np.full((width, -(-tables // 64) * 64), q, dtype=np.int16)   # q matches no value
+    padded[:, :tables] = vals.T
+    bits = np.stack([np.packbits(padded == v, axis=1, bitorder="little").view("<u8")
+                     for v in range(q)], axis=1).reshape(width * q, -1)
+    bits[:q, -1] |= np.uint64(((1 << 64) - 1) ^ ((1 << tables % 64) - 1) if tables % 64 else 0)
+    return bits
+
+
+def _origin_survivors(ctx: FieldCtx, bits, va, vb):
+    """(r, t) for every table t of the packed component whose origin-row
+    values, packed in bits (see _origin_bits), leave va[r] + vb[r] + V[t]
+    nonzero at every column: one gather of bits[j, -(va + vb)[r, j]] and an
+    OR over the columns j give each pair's rejected tables."""
+    target = ctx.v_sub(0, ctx.v_add(va, vb))
+    alive = ~np.bitwise_or.reduce(bits[np.arange(va.shape[1]) * ctx.q + target], axis=1)
+    some = np.flatnonzero(alive.any(axis=1))
+    r, t = np.nonzero(np.unpackbits(alive[some].view(np.uint8), axis=1, bitorder="little"))
+    return some[r], t
 
 
 def _chunk_tables(ctx: FieldCtx, mono_vals, coeffs, free, low: int, chunk: int):

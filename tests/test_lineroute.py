@@ -5,6 +5,7 @@ that drops Frobenius powers, against slopes taken point by point."""
 
 import random
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -233,6 +234,28 @@ def test_line_coordinate():
     assert pick(OvoidSpec.from_lines(field(8), ["x*y", "0", "0"])) == (2, ())
     assert pick(OvoidSpec.from_lines(field(9), ["x^2*y^2", "x*y^2", "y^5"])) == (2, ())
     assert pick(OvoidSpec.from_lines(field(27), ["x^2*y^2*z^2", "0", "0"])) is None
+
+
+def _candidate_coordinates(spec):
+    """The coordinates that occur only with exponents 0 and p^kappa."""
+    p = spec.ctx.p
+    return [v for v in range(3)
+            if all(_diffroute._frobenius_power(p, e) is not None
+                   for e in {unpack_exps(key, 3)[v] for f in spec.polys() for key in f.terms} - {0})]
+
+
+def test_slopes_are_checked_once_per_candidate_coordinate():
+    """One route decision carries the live powers to the count: a verify or
+    scan checks the slopes of each candidate coordinate once."""
+    rt = ree_tits(field(27))
+    xyz = OvoidSpec.from_lines(field(9), ["x*y*z", "x^3", "y"])      # all three are candidates
+    for spec, run in ((rt, lambda: verify_ovoid(rt)),
+                      (xyz, lambda: _diffroute.exact_scan(xyz, early_exit=False)[0])):
+        with mock.patch.object(_diffroute, "live_kappas", wraps=_diffroute.live_kappas) as spy:
+            out = run()
+        assert [c.args[1] for c in spy.call_args_list] == _candidate_coordinates(spec)
+        assert getattr(out, "route", out) == "line"
+    assert _candidate_coordinates(rt) == [2] and _candidate_coordinates(xyz) == [0, 1, 2]
 
 
 def test_table_limit_rules_out_large_tables(monkeypatch):

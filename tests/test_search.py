@@ -1,5 +1,6 @@
 """Exhaustive searches and witness recognition."""
 
+import functools
 import hashlib
 import itertools
 import random
@@ -141,30 +142,109 @@ def test_two_row_prefilter_leaves_64_pair_scans_at_q2(restriction):
     assert len(passing) == 8
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def _field(q):
+    return make_field(*{4: (2, 2), 9: (3, 2)}.get(q, (q, 1)))
+
+
+def _pair_value(ctx, coords, g, i, j):
+    """L(i, j) of the triple with value tables g = (f1, f2, f3), scalar."""
+    total = 0
+    for u, gc in zip(coords, g[::-1]):
+        total = ctx.add(total, ctx.mul(ctx.sub(int(u[i]), int(u[j])),
+                                       ctx.sub(int(gc[j]), int(gc[i]))))
+    return total
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_row_codes_match_the_pair_value(q):
-    """The lane sum of the three components' row codes is a zero sum
-    exactly where L(i, j) = 0, for the rows i = 0, 1 that the prefilter
-    reads, on random tables (nonzero at the origin too)."""
-    ctx = make_field(*{4: (2, 2)}.get(q, (q, 1)))
-    consts = search._pairscan._constants(ctx)
+    """The field sum of the three components' row values is 0 exactly
+    where L(i, j) = 0, for the rows i = 0, 1 that the prefilter reads, on
+    random tables (nonzero at the origin too)."""
+    ctx = _field(q)
     rng = np.random.default_rng(q)
     coords = search._pairscan.coordinate_arrays(q)
     gs = rng.integers(0, q, size=(3, 4, q ** 3))          # f1, f2, f3: four tables each
     for i in (0, 1):
-        codes = [search._row_codes(consts, u, g, i) for u, g in zip(coords[::-1], gs)]
-        sums = codes[0][:, None, None] + codes[1][None, :, None] + codes[2][None, None]
-        hit = consts[1](sums)
-        want = np.zeros_like(hit)
+        vals = [search._row_values(ctx, u, g, i) for u, g in zip(coords[::-1], gs)]
+        sums = ctx.v_add(ctx.v_add(vals[0][:, None, None], vals[1][None, :, None]),
+                         vals[2][None, None])
+        want = np.zeros(sums.shape, dtype=bool)
         for t in itertools.product(range(4), repeat=3):
-            f1, f2, f3 = (g[k] for g, k in zip(gs, t))
+            g = [gc[k] for gc, k in zip(gs, t)]
             for j in range(i + 1, q ** 3):
-                total = 0
-                for u, g in zip(coords, (f3, f2, f1)):
-                    total = ctx.add(total, ctx.mul(ctx.sub(int(u[i]), int(u[j])),
-                                                   ctx.sub(int(g[j]), int(g[i]))))
-                want[t + (j - i - 1,)] = total == 0
-        assert (hit == want).all()
+                want[t + (j - i - 1,)] = _pair_value(ctx, coords, g, i, j) == 0
+        assert ((sums == 0) == want).all()
+
+
+def _planted_tables(ctx, coords, counts, rng):
+    """Random value tables for f1, f2, f3 (counts[c] of component c) whose
+    origin-row triples pass or fail in about equal shares: every table has
+    the origin-row values of one base triple that passes, except at one
+    or two random columns, where it takes a random value."""
+    q = ctx.q
+    us = coords[::-1]                                     # f1 pairs with z, f2 with y, f3 with x
+    base = np.zeros((3, q ** 3), dtype=np.int64)
+    for j in range(1, q ** 3):
+        live = [c for c in range(3) if us[c][j]]          # V_c[j] = 0 where u_c(j) = 0
+        while True:
+            vals = [int(rng.integers(q)) for _ in live]
+            if functools.reduce(ctx.add, vals, 0):
+                break
+        base[live, j] = vals
+    tables = []
+    for c, count in enumerate(counts):
+        cols = np.flatnonzero(us[c])
+        v = np.repeat(base[c][None], count, axis=0)
+        for row in v:
+            row[rng.choice(cols, size=int(rng.integers(1, 3)))] = rng.integers(q, size=1)
+        g = np.empty_like(v)
+        g[:, 0] = rng.integers(q, size=count)
+        for j in range(1, q ** 3):                        # V = -u_j (g_j - g_0)
+            u = int(us[c][j])
+            for t in range(count):
+                g[t, j] = (ctx.sub(int(g[t, 0]), ctx.mul(int(v[t, j]), ctx.inv(u))) if u
+                           else int(rng.integers(q)))
+        tables.append(g)
+    return tables
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_bit_parallel_origin_row_matches_scalar_row(q):
+    """_origin_bits and _origin_survivors keep exactly the triples with
+    L(0, j) != 0 for every j, whichever component is packed and whatever
+    its table count (one word, 63 and 64 tables filling one word, 65 and
+    130 with a partial last word), for every step size."""
+    ctx = _field(q)
+    rng = np.random.default_rng(100 + q)
+    coords = search._pairscan.coordinate_arrays(q)
+    for k in range(3):
+        counts = [3, 3, 3]
+        counts[k] = 130
+        g = _planted_tables(ctx, coords, counts, rng)
+        terms = [np.array([[ctx.mul(ctx.sub(0, int(u[j])), ctx.sub(int(t[j]), int(t[0])))
+                            for j in range(1, q ** 3)] for t in gc])
+                 for u, gc in zip(coords[::-1], g)]
+        i, j = (c for c in range(3) if c != k)
+        a, b = np.divmod(np.arange(9), 3)
+        for count in (1, 63, 64, 65, 130):
+            rows = [np.arange(3)] * 3
+            rows[k] = np.arange(count)
+            grid = np.ix_(*rows)
+            total = ctx.v_add(ctx.v_add(terms[0][grid[0]], terms[1][grid[1]]), terms[2][grid[2]])
+            want = {tuple(int(x) for x in t) for t in np.argwhere((total != 0).all(axis=-1))}
+            vals = [search._row_values(ctx, u, gc, 0) for u, gc in zip(coords[::-1], g)]
+            bits = search._origin_bits(q, vals[k][:count])
+            for step in (1, 4, 9):
+                got = set()
+                for lo in range(0, 9, step):
+                    r, t = search._origin_survivors(ctx, bits, vals[i][a[lo:lo + step]],
+                                                    vals[j][b[lo:lo + step]])
+                    for rr, tt in zip(r, t):
+                        triple = [0] * 3
+                        triple[i], triple[j], triple[k] = a[lo + rr], b[lo + rr], tt
+                        got.add(tuple(int(x) for x in triple))
+                assert got == want
+            assert 0 < len(want) < 9 * count or count == 1
 
 
 @pytest.mark.parametrize("p,h,max_degree,restriction", [
@@ -177,6 +257,53 @@ def test_spec_lines_match_rendered_specs(p, h, max_degree, restriction):
     count = cfg.candidate_count()
     for i in [0, count - 1] + [rng.randrange(count) for _ in range(200)]:
         assert cfg.spec_lines(i) == spec_from_index(cfg, i).render_lines()
+
+
+def _q5_mask_config():
+    """A q = 5 mask whose pinned coefficients are not 1, free in all three
+    components."""
+    return SearchConfig(make_field(5, 1), max_degree=2, restriction={
+        "f1": {"x^2": 3, "x*y": "free", "z": 2},
+        "f2": {"x": 4, "y*z": "free", "y^2": 2},
+        "f3": {"x^2": 3, "z^2": "free", "x*z": 4, "y": 0}})
+
+
+@pytest.mark.parametrize("max_listed", [0, 1, 1000])
+def test_listed_specs_render_in_one_batch(max_listed):
+    full = SearchConfig(make_field(2, 1), max_degree=2)
+    masked = _q5_mask_config()
+    rng = random.Random(max_listed)
+    # no degree-2 triple is an ovoid at odd q, so the q = 5 hits are drawn
+    drawn = sorted(rng.sample(range(masked.candidate_count()), 1200))
+    for res in (exhaustive_triple_search(full), search.SearchResult(1, drawn, masked, 0.0)):
+        cfg = res.config
+        specs = res.to_json_dict(max_listed=max_listed)["specs"]
+        assert specs == [spec_from_index(cfg, i).render_lines()
+                         for i in res.found_indices[:max_listed]]
+        assert len(specs) == min(max_listed, len(res.found_indices))
+
+
+def test_spec_lines_agrees_with_the_batch():
+    for cfg in (SearchConfig(make_field(2, 2), max_degree=3), _q5_mask_config()):
+        rng = random.Random(7)
+        count = cfg.candidate_count()
+        indices = [0, count - 1] + [rng.randrange(count) for _ in range(300)]
+        assert cfg.batch_spec_lines(indices) == [cfg.spec_lines(i) for i in indices]
+        assert cfg.batch_spec_lines([]) == []
+    assert any("3*x^2" in line for line in _q5_mask_config().spec_lines(0))
+
+
+def test_q9_search_matches_brute_force():
+    # one free position in f1 and one in f2 at q = 9 (81 candidates); the
+    # row sums go through ff's add_flat table
+    ctx = make_field(3, 2)
+    monos = triple_monomials(2)
+    n = len(monos)
+    rng = random.Random(9)
+    pinned = [rng.randrange(1, 9) for _ in range(3 * n)]
+    cfg = SearchConfig(ctx, max_degree=2, restriction=_mask(monos, {2, n + 5}, pinned))
+    assert cfg.candidate_count() == 81
+    assert exhaustive_triple_search(cfg).found_indices == _brute_force(cfg) == []
 
 
 # -- the factored search against a per-candidate oracle ---------------------------
@@ -210,14 +337,17 @@ def _kantor_coeffs(ctx, monos):
 def test_search_matches_brute_force(spread, data):
     """Random masks with free positions in `spread` of the three components
     (the others fully pinned), at most about 2^10 candidates, under the
-    default chunking and under chunks of one or a few blocks."""
-    p, h = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1)]), label="field")
+    default chunking and under chunks of one or a few blocks.  F_9, with at
+    most 9^2 candidates, is drawn for one or two components only: its
+    sums are table lookups (ff's add_flat), which no other field reaches."""
+    fields = [(2, 1), (3, 1), (2, 2), (5, 1)] + ([(3, 2)] if spread < 3 else [])
+    p, h = data.draw(st.sampled_from(fields), label="field")
     ctx = make_field(p, h)
     q = ctx.q
     degree = data.draw(st.sampled_from([2, 3]), label="max_degree") if q == 2 else 2
     monos = triple_monomials(degree)
     n = len(monos)
-    max_free = {2: 10, 3: 6, 4: 5, 5: 4}[q]
+    max_free = {2: 10, 3: 6, 4: 5, 5: 4, 9: 2}[q]
     comps = data.draw(st.sampled_from(list(itertools.combinations(range(3), spread))),
                       label="components")
     free = set()
@@ -274,6 +404,29 @@ def test_lopsided_mask_matches_brute_force():
         res = exhaustive_triple_search(cfg)
     assert res.found_indices == _brute_force(cfg)
     assert index_of_spec(cfg, kantor_simple(ctx)) in res.found_indices
+
+
+@pytest.mark.parametrize("q, free_f1, free_f2", [(2, 6, 3), (2, 3, 6), (4, 3, 1), (4, 1, 3)])
+def test_f1_f2_mask_packs_the_larger_component(q, free_f1, free_f2):
+    """Free positions only in f1 and f2, f3 pinned as in the short Kantor
+    triple: f3 has one table, so f1 or f2, whichever has more tables, is
+    packed into the origin row's bits; the hits match verify_ovoid."""
+    ctx = make_field(2, q.bit_length() - 1)
+    monos = triple_monomials(2)
+    n = len(monos)
+    free = set(range(n - free_f1, n)) | set(range(2 * n - free_f2, 2 * n))
+    cfg = SearchConfig(ctx, max_degree=2,
+                       restriction=_mask(monos, free, _kantor_coeffs(ctx, monos)))
+    with mock.patch.object(search, "_origin_bits", wraps=search._origin_bits) as spy:
+        res = exhaustive_triple_search(cfg)
+    assert res.found_indices == _brute_force(cfg)
+    assert index_of_spec(cfg, kantor_simple(ctx)) in res.found_indices
+    # one packing, of the component with more free positions (more tables)
+    assert spy.call_count == 1
+    c = 0 if free_f1 > free_f2 else 1
+    tables = {tuple(spec_from_index(cfg, i).value_tables()[3 + c])
+              for i in range(cfg.candidate_count())}
+    assert len(spy.call_args.args[1]) == len(tables) > 1
 
 
 def test_found_specs_reverify_and_zero_never_found():
