@@ -90,20 +90,14 @@ def _frobenius_power(p: int, e: int) -> Optional[int]:
     return kappa if e == 1 else None
 
 
-def line_coordinate(spec) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """(v, kappas) for the line route: a coordinate v that occurs in every
-    monomial of f1, f2, f3 with exponent 0 or p^kappa, and the sorted set
-    of those kappa mod h, whose count table of q^(k+1) entries for the k
-    live ones (live_kappas) fits LINE_TABLE_LIMIT.  Of several, the one
-    with the fewest live kappas, then the fewest kappas, then the first of
-    x, y, z; None if there is none."""
-    pick = _line_pick(spec)
-    return pick[:2] if pick else None
-
-
-def _line_pick(spec):
-    """(v, kappas, live kappas) of line_coordinate's pick, or None; the
-    slopes of each candidate coordinate are checked once."""
+def line_coordinate(spec) -> Optional[Tuple[int, Tuple[int, ...], Tuple[int, ...]]]:
+    """(v, kappas, live) for the line route: a coordinate v that occurs in
+    every monomial of f1, f2, f3 with exponent 0 or p^kappa, the sorted set
+    of those kappa mod h, and the live ones among them (live_kappas), whose
+    count table of q^(k+1) entries for k live kappas fits LINE_TABLE_LIMIT.
+    Of several, the one with the fewest live kappas, then the fewest
+    kappas, then the first of x, y, z; None if there is none.  The slopes
+    of each candidate coordinate are checked once."""
     ctx = spec.ctx
     found = []
     for v in range(3):
@@ -119,7 +113,7 @@ def _line_pick(spec):
 
 
 def live_kappas(spec, v: int, kappas: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The kappas of line_coordinate(spec) = (v, kappas) whose slopes do
+    """The kappas of a candidate line coordinate v whose slopes do
     not cancel symbolically.
 
     Let w0, w1 be the other two coordinates.  On the line s + z e_v the
@@ -160,14 +154,11 @@ def live_kappas(spec, v: int, kappas: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(kappa for kappa in kappas if lives(kappa))
 
 
-def choose_route(spec) -> str:
-    """"difference", "line" or "pair-scan" for this triple, the first of
-    them that takes it, or Unsupported when its route does not reach q."""
-    return _route(spec)[0]
-
-
-def _route(spec):
-    """(choose_route(spec), (v, live kappas) of the line route or None)."""
+def choose_route(spec):
+    """(route, line): route is "difference", "line" or "pair-scan" for this
+    triple, the first of them that takes it, and line the line route's
+    (v, live kappas), else None; Unsupported when its route does not
+    reach q."""
     q = spec.ctx.q
     if q >= MIN_Q and eligible(spec):
         if q > Q_LIMIT:
@@ -177,7 +168,7 @@ def _route(spec):
         raise Unsupported(f"the pair-scan route supports q <= {_pairscan.Q_LIMIT}; "
                           f"the difference route (q <= {Q_LIMIT}) needs every monomial "
                           "of p-weight <= 2")
-    pick = _line_pick(spec) if q >= MIN_Q else None
+    pick = line_coordinate(spec) if q >= MIN_Q else None
     if pick is not None:
         return "line", (pick[0], pick[2])
     return "pair-scan", None
@@ -265,7 +256,7 @@ def exact_scan(spec, early_exit: bool, threads: int = 1):
     the pair scan's first zero pair, and from first_zero above it (the
     difference route only: the line route stops at the pair route's
     limit)."""
-    route, line = _route(spec)
+    route, line = choose_route(spec)
     ctx = spec.ctx
     tables = spec.value_tables()
     if route == "pair-scan":

@@ -110,21 +110,14 @@ class SearchConfig:
             k //= q
         return vec
 
-    def spec_lines(self, candidate_index: int) -> List[str]:
-        """spec_from_index(self, i).render_lines(), joined from the monomial
-        texts: the monomials are already in MPoly's render order."""
-        n = len(self._monos)
-        vec = self.vector(candidate_index)
-        return [self._block_text(vec[i * n:(i + 1) * n]) for i in range(3)]
-
     def batch_spec_lines(self, indices: List[int]) -> List[List[str]]:
-        """[self.spec_lines(i) for i in indices] in one pass: each index
-        splits into its three components' block numbers, and each distinct
-        block gets its base-q digits (one array division per free position) and is
-        joined into text once."""
+        """[spec_from_index(self, i).render_lines() for i in indices] in one
+        pass, joined from the monomial texts (already in MPoly's render
+        order): each index splits into its three components' block numbers,
+        and each distinct block gets its base-q digits (one array division
+        per free position) and is joined into text once."""
         q, n = self.ctx.q, len(self._monos)
-        # Python ints where an index may not fit int64 (no search gets there)
-        k = np.array(indices, dtype=np.int64 if self.candidate_count() <= 1 << 63 else object)
+        k = np.asarray(indices, dtype=object)   # Python ints: q^60 at degree 3 passes int64
         texts = []
         for c in reversed(range(3)):
             free = [pos - c * n for pos in self._free if pos // n == c]
@@ -133,14 +126,11 @@ class SearchConfig:
             vecs = np.tile([self._fixed.get(c * n + j, 0) for j in range(n)], (len(blocks), 1))
             for j in reversed(free):        # last free position varies fastest
                 blocks, vecs[:, j] = blocks // q, blocks % q
-            lines = [self._block_text(v) for v in vecs.tolist()]
+            lines = ["+".join(t if c == 1 else f"{c}*{t}"
+                              for t, c in zip(self._mono_text, v) if c) or "0"
+                     for v in vecs.tolist()]
             texts.insert(0, [lines[b] for b in inv.tolist()])
         return [list(spec) for spec in zip(*texts)]
-
-    def _block_text(self, coeffs) -> str:
-        """One component's polynomial from its coefficient block."""
-        return "+".join(t if c == 1 else f"{c}*{t}"
-                        for t, c in zip(self._mono_text, coeffs) if c) or "0"
 
 
 @dataclass

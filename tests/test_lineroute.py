@@ -84,7 +84,7 @@ def test_high_frobenius_powers_reduce_mod_h():
     for q, lines in ((3, ["x*z^3+y^2", "z^3*y", "x^2*z"]),
                      (9, ["x*z^9+y^2*z^3", "z^27*y", "x^2*z+y"])):
         spec = OvoidSpec.from_lines(field(q), lines)
-        v, kappas = _diffroute.line_coordinate(spec)
+        v, kappas, _ = _diffroute.line_coordinate(spec)
         assert v == 2 and kappas == ((0,) if q == 3 else (0, 1))
         assert _pairscan.line_count(spec.ctx, spec.value_tables(), v, kappas) == pair_count(spec)
 
@@ -92,7 +92,7 @@ def test_high_frobenius_powers_reduce_mod_h():
 def test_absent_coordinate_is_one_plane():
     # no monomial uses z: every slice is constant along the lines in z
     spec = OvoidSpec.from_lines(field(9), ["x^2*y^2", "x*y^2+y", "y^5+x^3"])
-    assert _diffroute.line_coordinate(spec) == (2, ())
+    assert _diffroute.line_coordinate(spec)[:2] == (2, ())
     zs, canons, counts = _pairscan._line_constants(spec.ctx, ())
     assert zs == () and counts.tolist() == [9] + [0] * 8
     assert _pairscan.line_count(spec.ctx, spec.value_tables(), 2, ()) == pair_count(spec)
@@ -176,7 +176,7 @@ def test_results_identical_for_every_thread_count():
 
 def test_failing_line_triple_keeps_pair_scan_witness():
     spec = OvoidSpec.from_lines(field(13), ["x*y^2+z", "y^3*z", "x^2+z*y"])
-    assert _diffroute.choose_route(spec) == "line"
+    assert _diffroute.choose_route(spec)[0] == "line"
     res = _pairscan.pair_scan(spec.ctx, spec.value_tables(), early_exit=True)
     rep = verify_ovoid(spec)
     assert not rep.is_ovoid and rep.route == "line"
@@ -208,7 +208,9 @@ def test_families_verify_on_the_line_route(name, make, q):
 
 
 def test_route_choice():
-    route = _diffroute.choose_route
+    def route(spec):
+        return _diffroute.choose_route(spec)[0]
+
     assert route(_thas_kantor(field(27))) == "line"
     assert route(kantor_2mod3(field(17))) == "line"
     assert route(ree_tits(field(27))) == "line"
@@ -220,7 +222,10 @@ def test_route_choice():
 
 
 def test_line_coordinate():
-    pick = _diffroute.line_coordinate
+    def pick(spec):
+        found = _diffroute.line_coordinate(spec)
+        return found and found[:2]
+
     # ree-tits: z occurs as z and z^9 = z^(3^2); x and y occur squared
     assert pick(ree_tits(field(27))) == (2, (0, 2))
     # thas-kantor: z only to the first power; x and y also as squares
@@ -263,10 +268,10 @@ def test_table_limit_rules_out_large_tables(monkeypatch):
     spec = OvoidSpec.from_lines(field(16), ["x^3*y+z^3*y^2", "x^3*y^4*z^3", "y^8*x^3*z^3"])
     assert 16 ** 5 > _diffroute.LINE_TABLE_LIMIT
     assert _diffroute.line_coordinate(spec) is None
-    assert _diffroute.choose_route(spec) == "pair-scan"
+    assert _diffroute.choose_route(spec)[0] == "pair-scan"
     monkeypatch.setattr(_diffroute, "LINE_TABLE_LIMIT", 16 ** 5)
-    assert _diffroute.line_coordinate(spec) == (1, (0, 1, 2, 3))
-    assert _diffroute.choose_route(spec) == "line"
+    assert _diffroute.line_coordinate(spec)[:2] == (1, (0, 1, 2, 3))
+    assert _diffroute.choose_route(spec)[0] == "line"
 
 
 def test_table_limit_counts_only_live_powers():
@@ -276,8 +281,8 @@ def test_table_limit_counts_only_live_powers():
     spec = cancelling_spec(ctx, random.Random(2232), 0, (1, 2, 3))
     assert 32 ** 4 > _diffroute.LINE_TABLE_LIMIT
     assert _diffroute.live_kappas(spec, 0, (1, 2, 3)) == ()
-    assert _diffroute.line_coordinate(spec) == (0, (1, 2, 3))
-    assert _diffroute.choose_route(spec) == "line"
+    assert _diffroute.line_coordinate(spec)[:2] == (0, (1, 2, 3))
+    assert _diffroute.choose_route(spec)[0] == "line"
     scan = affine_point_scan(spec)
     assert scan.route == "line" and scan.off_diagonal == pair_count(spec)
 
@@ -289,7 +294,7 @@ def test_fewest_live_powers_win():
     spec = OvoidSpec.from_lines(field(9), ["y^2+x*y^2", "2*z*x+2*z^3*x", "z*y+z^3*y"])
     assert _diffroute.live_kappas(spec, 0, (0,)) == (0,)
     assert _diffroute.live_kappas(spec, 2, (0, 1)) == ()
-    assert _diffroute.line_coordinate(spec) == (2, (0, 1))
+    assert _diffroute.line_coordinate(spec)[:2] == (2, (0, 1))
     scan = affine_point_scan(spec)
     assert scan.route == "line" and scan.off_diagonal == pair_count(spec)
 
@@ -351,7 +356,7 @@ def test_one_of_two_powers_stays_live():
     # z*y in f3 and -z*x in f2 cancel at kappa = 0; z^3*x in f3 leaves
     # d_x^2 at kappa = 1
     spec = OvoidSpec.from_lines(field(9), ["y^2+x^2*y", "2*x*z+x^3", "z*y+z^3*x+y^3"])
-    assert _diffroute.line_coordinate(spec) == (2, (0, 1))
+    assert _diffroute.line_coordinate(spec)[:2] == (2, (0, 1))
     assert _diffroute.live_kappas(spec, 2, (0, 1)) == (1,)
     want = pair_count(spec)
     assert want > 0
@@ -366,7 +371,7 @@ def test_one_plane_reports_identical_for_every_thread_count():
     failing = cancelling_spec(field(11), rng, 1, (0,))
     # two ovoids, then a failing triple
     for spec in (_thas_kantor(field(9)), kantor_2mod3(field(11)), failing):
-        v, kappas = _diffroute.line_coordinate(spec)
+        v, kappas, _ = _diffroute.line_coordinate(spec)
         assert _diffroute.live_kappas(spec, v, kappas) == ()
         reports = [verify_ovoid(spec, threads=t) for t in (1, 2, 3)]
         scans = [affine_point_scan(spec, threads=t) for t in (1, 2, 3)]
@@ -451,7 +456,7 @@ def test_crossed_cofactor_with_flipped_sign_is_live():
         cancel = OvoidSpec.from_lines(field(q), ["y^2", "-x*z+x^2", "z*y+y^3"])
         flipped = OvoidSpec.from_lines(field(q), ["y^2", "x*z+x^2", "z*y+y^3"])
         for spec, live in ((cancel, ()), (flipped, (0,))):
-            assert _diffroute.line_coordinate(spec) == (2, (0,))
+            assert _diffroute.line_coordinate(spec)[:2] == (2, (0,))
             assert _diffroute.live_kappas(spec, 2, (0,)) == live
             assert _brute_slopes(spec, 2) == set(live)
 
@@ -464,7 +469,7 @@ def test_crossed_cofactor_with_flipped_sign_is_live():
                                          ("famiglia1", _famiglia1, 11)])
 def test_families_have_no_live_slope(name, make, q):
     spec = make(field(q))
-    v, kappas = _diffroute.line_coordinate(spec)
+    v, kappas, _ = _diffroute.line_coordinate(spec)
     assert kappas and _diffroute.live_kappas(spec, v, kappas) == ()
 
 
@@ -473,7 +478,7 @@ def test_exponent_cap_keeps_kappa():
     # kappa stays live, nothing is expanded past the exponent cap, and the
     # count on its two planes is exact
     spec = OvoidSpec.from_lines(field(9), ["y^2", "x*y^2", "x^63*z"])
-    assert _diffroute.line_coordinate(spec) == (2, (0,))
+    assert _diffroute.line_coordinate(spec)[:2] == (2, (0,))
     assert _diffroute.live_kappas(spec, 2, (0,)) == (0,)
     scan = affine_point_scan(spec)
     assert scan.route == "line" and scan.off_diagonal == pair_count(spec)
@@ -542,7 +547,7 @@ def test_slope_check_reads_a_dense_triple_in_one_pass():
                             for a in range(61) for b in range(61) for c in (0, 1) if a or b or c})
              for _ in range(3)]
     spec = OvoidSpec(ctx, *polys)
-    assert _diffroute.line_coordinate(spec) == (2, (0,))
+    assert _diffroute.line_coordinate(spec)[:2] == (2, (0,))
     t0 = time.perf_counter()
     assert _diffroute.live_kappas(spec, 2, (0,)) == (0,)
     assert time.perf_counter() - t0 < 5
@@ -553,7 +558,7 @@ def test_one_plane_scan_at_27_matches_pair_scan():
     # 3 d_x d_y = 0) and at kappa = 2 (a lone 2*z^9 in f3)
     spec = OvoidSpec.from_lines(field(27), ["z", "2*x^12+x^3*y+y^9+x^2*y+2*x*z",
                                             "2*x^21+x^9*y^9+2*z^9+x*y^2+y*z"])
-    assert _diffroute.line_coordinate(spec) == (2, (0, 2))
+    assert _diffroute.line_coordinate(spec)[:2] == (2, (0, 2))
     assert _diffroute.live_kappas(spec, 2, (0, 2)) == ()
     scan = affine_point_scan(spec)
     assert scan.route == "line" and scan.off_diagonal == pair_count(spec) == 13817466
